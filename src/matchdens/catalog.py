@@ -9,6 +9,7 @@ from itertools import product as iproduct
 
 from . import gl2fp
 from .groupcore import ConjClassPartition, FiniteGroup
+from .primes import is_prime
 
 GL2_ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
 
@@ -201,7 +202,7 @@ def named_group(name: str) -> FiniteGroup:
         return sl2f3_group()
     if base == "gl2fp":
         p = int(arg)
-        if not gl2fp.is_prime_small(p):
+        if not is_prime(p):
             raise ValueError(f"gl2fp:{arg}: {arg} is not prime")
         return gl2_group(p)
     if base == "heisenberg":

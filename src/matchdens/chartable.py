@@ -17,6 +17,7 @@ from math import isqrt
 
 from .cyclotomic import CycValue
 from .groupcore import ClassFunction, FiniteGroup
+from .primes import factorize_small
 
 MAX_CLASSES = 30
 MAX_ORDER = 2000
@@ -333,15 +334,7 @@ def _root_of_unity_mod(e: int, l: int) -> int:
     if e == 1:
         return 1
     order = l - 1
-    factors = set()
-    m, d = order, 2
-    while d * d <= m:
-        while m % d == 0:
-            factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
+    factors = [q for q, _ in factorize_small(order)]
     for w in range(2, l):
         if all(pow(w, order // q, l) != 1 for q in factors):
             return pow(w, order // e, l)

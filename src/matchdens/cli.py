@@ -235,6 +235,9 @@ def _cmd_shift(args) -> tuple[dict, bool]:
         ]
         payload["hit_count"] = len(scan.hits)
         payload["unresolved_count"] = len(scan.unresolved)
+        payload["primes_sieved"] = scan.primes_sieved
+        payload["rho_calls"] = scan.rho_calls
+        payload["rho_giveups"] = scan.rho_giveups
     return payload, True
 
 
@@ -401,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="coefficients a,b,c of a x^2 + b x + c")
     p.add_argument("--T", type=int, required=True, help="exclude prime factors below T")
     p.add_argument("--scan", type=int, default=0, help="scan F(n) for n up to this bound")
-    p.add_argument("--trial-bound", type=int, default=1_000_000)
+    p.add_argument("--trial-bound", type=int, default=1_000_000,
+                   help="sieve primes up to this bound (refused above sieveshift.MAX_TRIAL_BOUND)")
     p.add_argument("--rho-iterations", type=int, default=1 << 14)
     p.set_defaults(handler=_cmd_shift)
 

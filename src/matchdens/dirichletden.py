@@ -22,27 +22,11 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .primes import sieve_primes
+from .primes import factorize_small, sieve_primes
 
 DEFAULT_S_SCHEDULE = (1.5, 1.2, 1.1, 1.05, 1.02)
 DEFAULT_X_MAX = 10**6
 MAX_MODULUS = 10**4
-
-
-def _factorize_small(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _local_generators(p: int, k: int) -> list[tuple[int, int]]:
@@ -55,7 +39,7 @@ def _local_generators(p: int, k: int) -> list[tuple[int, int]]:
             return [(3, 2)]
         return [(pk - 1, 2), (5, 2 ** (k - 2))]
     phi = pk // p * (p - 1)
-    prime_factors = [q for q, _ in _factorize_small(phi)]
+    prime_factors = [q for q, _ in factorize_small(phi)]
     for g in range(2, pk):
         if g % p == 0:
             continue
@@ -90,7 +74,7 @@ def unit_group(N: int) -> UnitGroup:
         raise ValueError(f"modulus must be in [1, {MAX_MODULUS}]")
     gens: list[int] = []
     orders: list[int] = []
-    for p, k in _factorize_small(N):
+    for p, k in factorize_small(N):
         pk = p**k
         rest = N // pk
         for g, order in _local_generators(p, k):
@@ -126,7 +110,7 @@ def unit_group(N: int) -> UnitGroup:
 
 def _euler_phi(N: int) -> int:
     out = N
-    for p, _ in _factorize_small(N):
+    for p, _ in factorize_small(N):
         out = out // p * (p - 1)
     return out
 

@@ -24,8 +24,8 @@ from math import sqrt
 
 import numpy as np
 
-from .gl2fp import NONSPLIT, SPLIT, legendre
-from .primes import factorize, sieve_primes, sqrt_mod
+from .gl2fp import NONSPLIT, SPLIT
+from .primes import factorize, legendre, sieve_primes, sqrt_mod
 
 AMBIGUOUS = "ambiguous"
 

@@ -20,6 +20,7 @@ from itertools import product as iproduct
 from typing import Iterator, Sequence
 
 from .cyclotomic import CycValue
+from .primes import is_prime, legendre, sqrt_mod
 
 CENTRAL = "central"
 NONSEMISIMPLE = "nonsemisimple"
@@ -29,28 +30,9 @@ NONSPLIT = "nonsplit"
 ENUMERATION_MAX_P = 31
 
 
-def is_prime_small(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _require_prime(p: int) -> None:
-    if not is_prime_small(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -111,20 +93,12 @@ def classify(m: GL2Element) -> ClassType:
     if p == 2:
         # disc odd means x^2 + x + 1, the only irreducible quadratic mod 2
         return ClassType(NONSPLIT, (t, d))
-    if legendre(disc, p) == 1:
-        s = _sqrt_mod_prime(disc, p)
+    s = sqrt_mod(disc, p)
+    if s is not None:
         inv2 = pow(2, -1, p)
         lam, mu = (t - s) * inv2 % p, (t + s) * inv2 % p
         return ClassType(SPLIT, (min(lam, mu), max(lam, mu)))
     return ClassType(NONSPLIT, (t, d))
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    # fine at this scale: p <= 31 for enumeration, small p generally
-    for r in range((p + 1) // 2 + 1):
-        if r * r % p == a % p:
-            return r
-    raise ArithmeticError(f"{a} is not a square mod {p}")
 
 
 def gl2_order(p: int) -> int:

@@ -14,9 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .primes import crt, is_prime, pollard_rho, primes_below, sqrt_mod
+import numpy as np
+
+from .primes import crt, is_prime, pollard_rho, primes_below, quadratic_roots_mod, sieve_primes
 
 MAX_SHIFT_T = 100_000
+# The sieve holds one byte per integer up to the trial bound and an int64 per
+# prime below it, and sieve_primes caches its arrays: 10^7 keeps that near
+# 16 MB.  The root kernel itself stays exact up to primes.KERNEL_PRIME_LIMIT.
+MAX_TRIAL_BOUND = 10_000_000
 
 
 class NoAdmissibleShiftError(ValueError):
@@ -153,36 +159,26 @@ class AlmostPrimeHit:
 
 @dataclass
 class ScanResult:
-    """Hits plus the values the factoring budget could not classify."""
+    """Hits plus the values the factoring budget could not classify.
+
+    The counts say what the scan spent: primes_sieved primes had their roots
+    found, rho_calls cofactors went to Pollard rho, and rho_giveups of them
+    exhausted its budget (each of those values is in unresolved).
+    """
 
     poly: QuadPoly
     n_max: int
     hits: list[AlmostPrimeHit] = field(default_factory=list)
     unresolved: list[tuple[int, int]] = field(default_factory=list)
+    primes_sieved: int = 0
+    rho_calls: int = 0
+    rho_giveups: int = 0
 
     def __iter__(self):
         return iter(self.hits)
 
     def __len__(self):
         return len(self.hits)
-
-
-def _quad_roots_mod(F: QuadPoly, ell: int) -> list[int]:
-    """Roots of F mod ell (brute force for tiny ell, formula otherwise)."""
-    if ell <= 64:
-        return [r for r in range(ell) if F(r) % ell == 0]
-    a, b, c = F.a % ell, F.b % ell, F.c % ell
-    if a == 0:
-        if b == 0:
-            return []  # c != 0 mod ell since F is primitive
-        return [(-c) * pow(b, -1, ell) % ell]
-    disc = (b * b - 4 * a * c) % ell
-    s = sqrt_mod(disc, ell)
-    if s is None:
-        return []
-    inv2a = pow(2 * a, -1, ell)
-    roots = {(-b + s) * inv2a % ell, (-b - s) * inv2a % ell}
-    return sorted(roots)
 
 
 def almost_prime_scan(
@@ -194,25 +190,35 @@ def almost_prime_scan(
 ) -> ScanResult:
     """All n in [1, n_max] where F(n) is prime or a product of two primes.
 
-    Small prime factors are found by sieving the roots of F modulo each prime
-    below trial_bound (an arithmetic-progression sieve, so the per-prime cost
-    is n_max/l rather than n_max); cofactors are settled by a primality test
-    and a bounded Pollard rho.  Every hit carries its verified factorization.
+    Small prime factors come from the roots of F modulo every prime up to
+    trial_bound, found for all primes at once by the vectorized kernel
+    primes.quadratic_roots_mod.  A prime l <= n_max marks the progression
+    r, r + l, ... of each root r; a larger prime marks only its roots
+    1 <= r <= n_max, so the Python work after the kernel is one step per
+    marked (n, l) pair, not one per prime.  Cofactors are settled by a
+    primality test and a bounded Pollard rho.  Every hit carries its verified
+    factorization; values whose cofactor resists the rho budget are listed in
+    unresolved.  trial_bound is refused above MAX_TRIAL_BOUND.
     """
+    if trial_bound > MAX_TRIAL_BOUND:
+        raise ValueError(f"trial_bound is bounded at {MAX_TRIAL_BOUND}")
     if F.a <= 0:
         raise ValueError("scan needs a positive leading coefficient")
     if not F.is_primitive():
         raise ValueError("scan needs a primitive polynomial")
     if n_max < 1:
         return ScanResult(poly=F, n_max=n_max)
+    ells = sieve_primes(trial_bound)
+    root_primes, roots = quadratic_roots_mod(F.a, F.b, F.c, ells)
+    first = np.where(roots >= 1, roots, root_primes)  # least n >= 1 with n = r (mod l)
+    marked = first <= n_max
+    # pairs come in ascending l, so every small_factors[n] is ascending too
     small_factors: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for ell in primes_below(trial_bound + 1):
-        for r in _quad_roots_mod(F, ell):
-            start = r if r >= 1 else r + ell
-            for n in range(start, n_max + 1, ell):
-                small_factors[n].append(ell)
+    for ell, start in zip(root_primes[marked].tolist(), first[marked].tolist()):
+        for n in range(start, n_max + 1, ell):
+            small_factors[n].append(ell)
 
-    result = ScanResult(poly=F, n_max=n_max)
+    result = ScanResult(poly=F, n_max=n_max, primes_sieved=int(ells.size))
     for n in range(1, n_max + 1):
         value = F(n)
         if value < 2:
@@ -236,8 +242,10 @@ def almost_prime_scan(
             continue
         if factors:
             continue  # small prime + composite cofactor: three or more primes
+        result.rho_calls += 1
         d = pollard_rho(m, rho_iterations)
         if d is None:
+            result.rho_giveups += 1
             result.unresolved.append((n, value))
             continue
         p1, p2 = d, m // d

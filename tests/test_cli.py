@@ -116,6 +116,15 @@ def test_shift_subcommand(capsys):
     assert result["F"] == ["36", "0", "1"]
     assert result["hits"][0] == {"n": 1, "value": "37", "factors": ["37"]}
     assert result["hit_count"] >= 5
+    assert result["primes_sieved"] == 1229  # the primes below 10^4
+    assert result["rho_giveups"] == result["unresolved_count"] <= result["rho_calls"]
+
+
+def test_shift_refuses_trial_bound_above_max(capsys):
+    code = main(["--format", "json", "shift", "--poly", "1,0,1", "--T", "5", "--scan", "30",
+                 "--trial-bound", str(10**15)])
+    assert code == 1
+    assert "trial_bound is bounded" in capsys.readouterr().err
 
 
 def test_ellstat_subcommand(capsys):

@@ -1,18 +1,28 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matchdens.primes import (
+    KERNEL_PRIME_LIMIT,
     crt,
     factorize,
+    factorize_small,
     is_prime,
+    legendre,
     next_prime,
     pollard_rho,
     primes_below,
+    quadratic_roots_mod,
     sieve_primes,
     sqrt_mod,
 )
+
+# every prime up to 10^4, plus 65537 = 2^16 + 1 and 786433 = 3 * 2^18 + 1,
+# whose 2-Sylow subgroups drive Tonelli-Shanks through its deepest loops
+KERNEL_TEST_PRIMES = np.concatenate([sieve_primes(10**4), [65537, 786433]])
+COEFF = 1 << 140
 
 
 def _is_prime_trial(n):
@@ -104,3 +114,78 @@ def test_factorize_complete_and_unresolved():
 def test_primes_below():
     assert primes_below(12) == [2, 3, 5, 7, 11]
     assert primes_below(2) == []
+
+
+def _brute_roots(a, b, c, ells):
+    pairs = []
+    for ell in ells.tolist():
+        r = np.arange(ell, dtype=np.int64)
+        values = ((a % ell * r + b % ell) % ell * r + c % ell) % ell
+        pairs += [(ell, int(x)) for x in np.flatnonzero(values == 0)]
+    return pairs
+
+
+@st.composite
+def _quadratics(draw):
+    """Primitive irreducible quadratics with ~140-bit coefficients, forced
+    some of the time to have l | a, l | a and l | b, or l | disc for a test prime l."""
+    ell = draw(st.sampled_from(KERNEL_TEST_PRIMES.tolist()))
+    a = draw(st.integers(-COEFF, COEFF).filter(bool))
+    b, c = draw(st.integers(-COEFF, COEFF)), draw(st.integers(-COEFF, COEFF))
+    case = draw(st.sampled_from(["random", "l|a", "l|a,b", "l|disc"]))
+    if case in ("l|a", "l|a,b"):
+        a = ell * (a // ell or 1)
+    if case == "l|a,b":
+        b = ell * (b // ell)
+    if case == "l|disc":  # a (x - r)^2 + l (u x + v): a double root r mod l
+        r = draw(st.integers(0, ell - 1))
+        b, c = -2 * a * r + ell * b, a * r * r + ell * c
+    disc = b * b - 4 * a * c
+    assume(math.gcd(math.gcd(a, b), c) == 1)
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    return a, b, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quadratics())
+def test_quadratic_roots_match_brute_force(coeffs):
+    ells, roots = quadratic_roots_mod(*coeffs, KERNEL_TEST_PRIMES)
+    assert list(zip(ells.tolist(), roots.tolist())) == _brute_roots(*coeffs, KERNEL_TEST_PRIMES)
+
+
+def test_quadratic_roots_above_single_reduction_range():
+    # primes above 2^21 take the two-reduction products; a root set is right
+    # when every entry is a root and the count is what the discriminant says
+    ells = np.array([p for p in range(3 << 29, (3 << 29) + 3000) if is_prime(p)], dtype=np.int64)
+    a, b, c = 3 * COEFF + 7, -(COEFF + 11), 5 * COEFF + 1
+    got, roots = quadratic_roots_mod(a, b, c, ells)
+    for ell in ells.tolist():
+        rs = roots[got == ell].tolist()
+        assert all((a * r * r + b * r + c) % ell == 0 for r in rs)
+        assert len(rs) == 1 + legendre(b * b - 4 * a * c, ell)
+
+
+def test_quadratic_roots_input_checks():
+    ells = sieve_primes(100)
+    with pytest.raises(ValueError):
+        quadratic_roots_mod(6, 3, 9, ells)  # content 3
+    with pytest.raises(ValueError):
+        quadratic_roots_mod(1, 0, 1, ells[::-1])
+    with pytest.raises(ValueError):
+        quadratic_roots_mod(1, 0, 1, np.array([KERNEL_PRIME_LIMIT + 11]))
+    got, roots = quadratic_roots_mod(1, 0, 1, ells[:0])
+    assert got.size == roots.size == 0
+    got, roots = quadratic_roots_mod(1, 1, 2, ells[:1])  # x^2 + x + 2 is even everywhere
+    assert got.tolist() == [2, 2] and roots.tolist() == [0, 1]
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+def test_factorize_small_multiplies_back(n):
+    pairs = factorize_small(n)
+    assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+    assert all(_is_prime_trial(p) and e >= 1 for p, e in pairs)
+    assert math.prod(p**e for p, e in pairs) == n
+
+
+def test_legendre_symbol():
+    assert [legendre(a, 7) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]

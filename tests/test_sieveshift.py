@@ -3,7 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from matchdens import sieveshift
+from matchdens.primes import is_prime, pollard_rho, primes_below, sieve_primes, sqrt_mod
 from matchdens.sieveshift import (
+    MAX_TRIAL_BOUND,
     AlmostPrimeHit,
     NoAdmissibleShiftError,
     QuadPoly,
@@ -132,3 +135,79 @@ def test_pairwise_coprime_matches_bruteforce(ns):
 def test_primorial():
     assert primorial_below(10) == 2 * 3 * 5 * 7
     assert primorial_below(3) == 2
+
+
+def _reference_roots(F, ell):
+    """Roots of F mod ell, one prime at a time."""
+    if ell <= 64:
+        return [r for r in range(ell) if F(r) % ell == 0]
+    a, b, c = F.a % ell, F.b % ell, F.c % ell
+    if a == 0:
+        return [] if b == 0 else [(-c) * pow(b, -1, ell) % ell]
+    s = sqrt_mod((b * b - 4 * a * c) % ell, ell)
+    if s is None:
+        return []
+    inv2a = pow(2 * a, -1, ell)
+    return sorted({(-b + s) * inv2a % ell, (-b - s) * inv2a % ell})
+
+
+def _reference_scan(F, n_max, trial_bound, rho_iterations):
+    """The scan with a per-prime root loop: (hits as tuples, unresolved)."""
+    small_factors = [[] for _ in range(n_max + 1)]
+    for ell in primes_below(trial_bound + 1):
+        for r in _reference_roots(F, ell):
+            for n in range(r if r >= 1 else r + ell, n_max + 1, ell):
+                small_factors[n].append(ell)
+    hits, unresolved = [], []
+    for n in range(1, n_max + 1):
+        value, factors = F(n), []
+        m = value
+        for ell in small_factors[n]:
+            while m % ell == 0:
+                factors.append(ell)
+                m //= ell
+        if m == 1:
+            if len(factors) in (1, 2):
+                hits.append((n, value, tuple(factors)))
+        elif len(factors) < 2 and is_prime(m):
+            hits.append((n, value, tuple(sorted([*factors, m]))))
+        elif not factors:
+            d = pollard_rho(m, rho_iterations)
+            if d is None:
+                unresolved.append((n, value))
+            elif is_prime(d) and is_prime(m // d):
+                hits.append((n, value, tuple(sorted([d, m // d]))))
+    return hits, unresolved
+
+
+@pytest.mark.parametrize(
+    "f,T,n_max",
+    [
+        ((1, 0, 1), 10, 600),
+        ((3, -7, 11), 13, 600),
+        ((77, 3, 1), None, 600),  # unshifted: 7 | a and 11 | a give linear roots
+        ((1, 0, 1), 50, 80),
+        ((2, -29, 37), 53, 80),
+        ((6, 1, -59), 47, 80),
+    ],
+)
+def test_scan_matches_per_prime_reference(f, T, n_max):
+    F = find_shift(QuadPoly(*f), T).poly if T else QuadPoly(*f)
+    scan = almost_prime_scan(F, n_max, trial_bound=200_000, rho_iterations=1 << 10)
+    hits, unresolved = _reference_scan(F, n_max, 200_000, 1 << 10)
+    assert [(h.n, h.value, h.factors) for h in scan.hits] == hits
+    assert scan.unresolved == unresolved
+    assert scan.primes_sieved == len(sieve_primes(200_000))
+    assert scan.rho_giveups == len(scan.unresolved) <= scan.rho_calls
+
+
+def test_scan_refuses_trial_bound_above_max(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit} before refusing")
+
+    monkeypatch.setattr(sieveshift, "sieve_primes", no_sieve)
+    f36 = shifted_poly(QuadPoly(1, 0, 1), 6, 0)
+    with pytest.raises(ValueError, match="trial_bound"):
+        almost_prime_scan(f36, 10, trial_bound=10**15)
+    with pytest.raises(ValueError, match="trial_bound"):
+        almost_prime_scan(f36, 10, trial_bound=MAX_TRIAL_BOUND + 1)
