@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 
 from . import catalog, density, dirichletden, ellstat, gl2fp, groupcore, presets, sieveshift
 from .chartable import character_table_small
-from .cyclotomic import CycValue
 
 
 @dataclass
@@ -201,7 +201,7 @@ def criterion_8_gl1_exactness() -> tuple[bool, str]:
         chars = dirichletden.dirichlet_characters(N)
         phi = dirichletden.unit_group(N).order
         counts = np.bincount(primes % N, minlength=N)
-        coprime = [a for a in range(N) if _gcd(a, N) == 1]
+        coprime = [a for a in range(N) if gcd(a, N) == 1]
         n_good = int(sum(counts[a] for a in coprime))
         for i, x in enumerate(chars):
             for y in chars[i:]:
@@ -230,12 +230,6 @@ def criterion_8_gl1_exactness() -> tuple[bool, str]:
     return True, f"{within}/{total_pairs} pairs within 3 sigma ({share:.1%})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def criterion_9_character_tables() -> tuple[bool, str]:
     """Corpus tables: exact orthogonality, sum d^2 = |G|, and every nonlinear
     irreducible of each nilpotent member vanishing on at least half the group."""
@@ -245,16 +239,12 @@ def criterion_9_character_tables() -> tuple[bool, str]:
     for name in corpus:
         group = catalog.named_group(name)
         table = character_table_small(group)
-        part = group.conjugacy_classes()
         degrees = [int(cf.degree().as_rational()) for cf in table]
         if sum(d * d for d in degrees) != group.order:
             return False, f"{name}: sum of squared degrees != order"
         for a in range(len(table)):
             for b in range(a, len(table)):
-                acc = CycValue.zero()
-                for size, va, vb in zip(part.sizes, table[a].values, table[b].values):
-                    acc = acc + size * (va * vb.conjugate())
-                if acc.as_rational() != (group.order if a == b else 0):
+                if groupcore.inner_product(table[a], table[b]) != (1 if a == b else 0):
                     return False, f"{name}: orthogonality fails at ({a},{b})"
         checked += 1
         if groupcore.is_nilpotent(group):

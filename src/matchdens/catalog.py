@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 from . import gl2fp
 from .groupcore import ConjClassPartition, FiniteGroup
-from .primes import is_prime
+from .primes import is_prime, primitive_root
 
 GL2_ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
 
@@ -105,23 +105,6 @@ def sl2f3_group() -> FiniteGroup:
     )
 
 
-def _primitive_root(p: int) -> int:
-    order = p - 1
-    factors = set()
-    n, d = order, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-    raise ValueError(f"no primitive root found mod {p}")
-
-
 def gl2_group(p: int) -> FiniteGroup:
     """All of GL2 over F_p as an explicit group (p <= 31).
 
@@ -153,7 +136,7 @@ def gl2_group(p: int) -> FiniteGroup:
             class_of=tuple(class_of),
         )
 
-    r = _primitive_root(p) if p > 2 else 1
+    r = primitive_root(p)
     return FiniteGroup(
         elements,
         lambda x, y: _mat_mul_mod(x, y, p),

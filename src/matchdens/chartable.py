@@ -6,18 +6,17 @@ whose entries are the central character values.  We find those eigenvectors
 over a prime field F_l with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)),
 recover degrees and character values mod l, then lift each value to an exact
 sum of roots of unity by finite-field Fourier inversion over the cyclic group
-generated by the class representative.  Row orthogonality is re-verified with
-exact cyclotomic arithmetic before the table is returned.
+generated by the class representative.  Row orthogonality is re-verified
+exactly, with groupcore.inner_product, before the table is returned.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .cyclotomic import CycValue
-from .groupcore import ClassFunction, FiniteGroup
-from .primes import factorize_small
+from .groupcore import ClassFunction, FiniteGroup, inner_product
+from .primes import primitive_root
 
 MAX_CLASSES = 30
 MAX_ORDER = 2000
@@ -189,7 +188,6 @@ def character_table_small(
     r = len(part)
     if r > MAX_CLASSES:
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
-    group.ensure_table()
     n = group.order
     exponent = group.exponent()
     l = _choose_modulus(n, exponent, modulus_bound)
@@ -238,7 +236,7 @@ def character_table_small(
     table = [
         ClassFunction(group, values, name=f"chi{deg}") for deg, values in characters
     ]
-    _verify_table(group, part, table, inv_of)
+    _verify_table(group, table)
     table.sort(
         key=lambda cf: (
             int(cf.degree().as_rational()),
@@ -295,7 +293,7 @@ def _normalize_at(vec: list[int], idx: int, l: int) -> list[int]:
 
 def _lift_values(group, part, chi_mod, degree, exponent, l):
     """Exact values from mod-l values via Fourier inversion on each rep's cycle."""
-    z = _root_of_unity_mod(exponent, l)
+    z = pow(primitive_root(l), (l - 1) // exponent, l)  # of exact order exponent
     values = []
     for k, rep in enumerate(part.representatives):
         n_k = group.element_order(rep)
@@ -321,7 +319,7 @@ def _lift_values(group, part, chi_mod, degree, exponent, l):
             if mult > degree:
                 raise CharacterTableError("eigenvalue multiplicities failed to lift")
             if mult:
-                coeffs[j] = Fraction(mult)
+                coeffs[j] = mult
                 check = (check + mult * pow(zeta, j, l)) % l
         if check != chi_mod[k] % l:
             raise CharacterTableError("lifted value does not reduce back mod l")
@@ -329,32 +327,14 @@ def _lift_values(group, part, chi_mod, degree, exponent, l):
     return values
 
 
-def _root_of_unity_mod(e: int, l: int) -> int:
-    """z of exact multiplicative order e mod l, from the smallest primitive root."""
-    if e == 1:
-        return 1
-    order = l - 1
-    factors = [q for q, _ in factorize_small(order)]
-    for w in range(2, l):
-        if all(pow(w, order // q, l) != 1 for q in factors):
-            return pow(w, order // e, l)
-    raise CharacterTableError(f"no primitive root mod {l}")
-
-
-def _verify_table(group, part, table, inv_of) -> None:
-    n = group.order
+def _verify_table(group, table) -> None:
     degs = [int(cf.degree().as_rational()) for cf in table]
-    if sum(d * d for d in degs) != n:
+    if sum(d * d for d in degs) != group.order:
         raise CharacterTableError("degrees do not satisfy sum(d^2) = |G|")
     for a, cfa in enumerate(table):
         for b in range(a, len(table)):
-            cfb = table[b]
-            acc = CycValue.zero()
-            for k, size in enumerate(part.sizes):
-                acc = acc + size * (cfa.values[k] * cfb.values[k].conjugate())
-            inner = acc.as_rational() / n
-            expected = 1 if a == b else 0
-            if inner != expected:
+            inner = inner_product(cfa, table[b])
+            if inner != (1 if a == b else 0):
                 raise CharacterTableError(
                     f"orthogonality fails for characters {a}, {b}: <a,b> = {inner}"
                 )

@@ -1,41 +1,29 @@
 """Exact arithmetic in cyclotomic fields.
 
-Values are finite rational combinations of e-th roots of unity, stored as a
-sparse exponent -> coefficient map.  Ring operations happen in Q[x]/(x^e - 1)
-(exponent arithmetic mod e); equality and zero tests project to the field
-Q(zeta_e) by reducing modulo the e-th cyclotomic polynomial, so two different
-exponent combinations representing the same field element compare equal.
+A value in the e-th cyclotomic field Q(z), z = exp(2 pi i / e), is stored in
+one form only: its coordinates in the power basis 1, z, ..., z^(phi(e)-1), as
+a tuple of Python ints over one positive common denominator, with the gcd of
+all of them 1.  That form is unique, so equality at one conductor is tuple
+equality; values at different conductors are compared inside the field of
+their lcm.  Every result is built as an integer polynomial in z and reduced
+once modulo the monic cyclotomic polynomial Phi_e, in integer arithmetic.
+`canonical()`, `power_basis()` and `sort_key()` return the coordinates as
+`Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+from math import gcd, lcm
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division of integer polynomials, coefficients low -> high
+    # exact division by a monic integer polynomial, coefficients low -> high
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[k] = q
+        q = out[k] = num[k + len(den) - 1]
         if q:
             for i, d in enumerate(den):
                 num[k + i] -= q * d
@@ -50,113 +38,127 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+def _reduced(e: int, poly: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (numerators, denominator) of poly(z)/den, poly given low -> high.
+
+    Reduces modulo the monic Phi_e in place, then divides out the common gcd.
+    """
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    terms = [(i - deg, c) for i, c in enumerate(phi[:-1]) if c]
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i, f in terms:
+                poly[k + i] -= c * f
+    poly += [0] * (deg - len(poly))
+    g = gcd(den, *poly[:deg])
+    return tuple(x // g for x in poly[:deg]), den // g
 
 
 class CycValue:
     """An element of the e-th cyclotomic field with exact rational coordinates."""
 
-    __slots__ = ("conductor", "_coeffs", "_canonical")
+    __slots__ = ("conductor", "_num", "_den")
 
-    def __init__(self, conductor: int, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, conductor: int, coeffs: dict | None = None):
+        """The value sum_j coeffs[j] * z^j, z a primitive conductor-th root of unity."""
         if conductor < 1:
             raise ValueError("conductor must be positive")
+        terms = [(j % conductor, Fraction(c)) for j, c in (coeffs or {}).items()]
+        den = lcm(*(c.denominator for _, c in terms))
+        poly = [0] * conductor
+        for j, c in terms:
+            poly[j] += c.numerator * (den // c.denominator)
         self.conductor = conductor
-        cleaned: dict[int, Fraction] = {}
-        for j, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                j %= conductor
-                cleaned[j] = cleaned.get(j, Fraction(0)) + c
-        self._coeffs = {j: c for j, c in cleaned.items() if c}
-        self._canonical: tuple[Fraction, ...] | None = None
+        self._num, self._den = _reduced(conductor, poly, den)
+
+    @classmethod
+    def _make(cls, conductor: int, poly: list[int], den: int) -> CycValue:
+        out = cls.__new__(cls)
+        out.conductor = conductor
+        out._num, out._den = _reduced(conductor, poly, den)
+        return out
 
     # -- constructors
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> CycValue:
-        return cls(conductor, {0: Fraction(value)})
+        q = Fraction(value)
+        deg = len(cyclotomic_polynomial(conductor)) - 1
+        return cls._make(conductor, [q.numerator] + [0] * (deg - 1), q.denominator)
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CycValue:
-        return cls(order, {power % order: Fraction(1)})
+        return cls(order, {power: 1})
 
     @classmethod
     def zero(cls, conductor: int = 1) -> CycValue:
-        return cls(conductor, {})
+        return cls.from_rational(0, conductor)
 
     # -- canonical form
 
     def canonical(self) -> tuple[Fraction, ...]:
-        """Coordinates in the power basis 1, z, ..., z^(phi(e)-1) after reduction."""
-        if self._canonical is None:
-            e = self.conductor
-            vec = [Fraction(0)] * e
-            for j, c in self._coeffs.items():
-                vec[j] += c
-            phi = cyclotomic_polynomial(e)
-            deg = len(phi) - 1
-            for k in range(e - 1, deg - 1, -1):
-                c = vec[k]
-                if c:
-                    vec[k] = Fraction(0)
-                    for i in range(deg):
-                        vec[k - deg + i] -= c * phi[i]
-            self._canonical = tuple(vec[:deg])
-        return self._canonical
+        """Coordinates in the power basis 1, z, ..., z^(phi(e)-1)."""
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     def power_basis(self) -> tuple[Fraction, ...]:
         """Canonical coordinates padded with zeros to length e."""
         canon = self.canonical()
         return canon + (Fraction(0),) * (self.conductor - len(canon))
 
+    def _lifted(self, conductor: int, scale: int = 1) -> list[int]:
+        """scale * numerators as an unreduced polynomial in z_conductor."""
+        step = conductor // self.conductor
+        poly = [0] * ((len(self._num) - 1) * step + 1)
+        poly[::step] = [n * scale for n in self._num]
+        return poly
+
     def embed(self, conductor: int) -> CycValue:
         """The same field element viewed inside a larger cyclotomic field."""
         if conductor % self.conductor:
             raise ValueError("new conductor must be a multiple of the old one")
-        step = conductor // self.conductor
-        return CycValue(conductor, {j * step: c for j, c in self._coeffs.items()})
+        if conductor == self.conductor:
+            return self
+        return CycValue._make(conductor, self._lifted(conductor), self._den)
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not any(self.canonical())
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        canon = self.canonical()
-        return not any(canon[1:])
+        return not any(self._num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        canon = self.canonical()
-        return canon[0] if canon else Fraction(0)
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic
 
-    def _paired(self, other: CycValue) -> tuple[CycValue, CycValue, int]:
-        e = lcm(self.conductor, other.conductor)
-        return self.embed(e), other.embed(e), e
-
     def __add__(self, other) -> CycValue:
         other = _coerce(other)
-        a, b, e = self._paired(other)
-        out = dict(a._coeffs)
-        for j, c in b._coeffs.items():
-            out[j] = out.get(j, Fraction(0)) + c
-        return CycValue(e, out)
+        e = lcm(self.conductor, other.conductor)
+        g = gcd(self._den, other._den)
+        a = self._lifted(e, other._den // g)
+        b = other._lifted(e, self._den // g)
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return CycValue._make(e, a, self._den // g * other._den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycValue:
-        return CycValue(self.conductor, {j: -c for j, c in self._coeffs.items()})
+        return CycValue._make(self.conductor, [-n for n in self._num], self._den)
 
     def __sub__(self, other) -> CycValue:
         return self + (-_coerce(other))
@@ -167,32 +169,36 @@ class CycValue:
     def __mul__(self, other) -> CycValue:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CycValue(self.conductor, {j: c * q for j, c in self._coeffs.items()})
+            poly = [n * q.numerator for n in self._num]
+            return CycValue._make(self.conductor, poly, self._den * q.denominator)
         other = _coerce(other)
-        a, b, e = self._paired(other)
-        out: dict[int, Fraction] = {}
-        for j1, c1 in a._coeffs.items():
-            for j2, c2 in b._coeffs.items():
-                k = (j1 + j2) % e
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return CycValue(e, out)
+        e = lcm(self.conductor, other.conductor)
+        a, b = self._lifted(e), other._lifted(e)
+        poly = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    poly[i + j] += x * y
+        return CycValue._make(e, poly, self._den * other._den)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> CycValue:
         """Complex conjugate (inverts every root of unity)."""
         e = self.conductor
-        return CycValue(e, {(-j) % e: c for j, c in self._coeffs.items()})
+        poly = [0] * e
+        for j, n in enumerate(self._num):
+            poly[-j % e] = n
+        return CycValue._make(e, poly, self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = CycValue.from_rational(other)
+            return self.is_rational() and self.as_rational() == other
         if not isinstance(other, CycValue):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.canonical() == other.canonical()
-        a, b, _ = self._paired(other)
-        return a.canonical() == b.canonical()
+        e = lcm(self.conductor, other.conductor)
+        a, b = self.embed(e), other.embed(e)
+        return a._den == b._den and a._num == b._num
 
     __hash__ = None  # equality crosses conductors; hashing would be a trap
 
@@ -203,8 +209,31 @@ class CycValue:
     def __repr__(self) -> str:
         if self.is_rational():
             return f"CycValue({self.as_rational()})"
-        terms = ", ".join(f"z^{j}: {c}" for j, c in sorted(self._coeffs.items()))
+        terms = ", ".join(f"z^{j}: {c}" for j, c in enumerate(self.canonical()) if c)
         return f"CycValue(e={self.conductor}, {{{terms}}})"
+
+
+def hermitian_sum(weights, xs, ys) -> CycValue:
+    """Exact sum_k weights[k] * xs[k] * conj(ys[k]) over int weights.
+
+    Accumulates in Z[z]/(z^E - 1), E the lcm of all conductors, over one
+    common denominator, and reduces modulo Phi_E once for the whole sum.
+    """
+    xs, ys = list(xs), list(ys)
+    e = lcm(*(v.conductor for v in xs + ys))
+    dx = lcm(*(v._den for v in xs))
+    dy = lcm(*(v._den for v in ys))
+    acc = [0] * e
+    for w, x, y in zip(weights, xs, ys):
+        sx, sy = e // x.conductor, e // y.conductor
+        wx = w * (dx // x._den)
+        yterms = [(-j * sy, n * (dy // y._den)) for j, n in enumerate(y._num) if n]
+        for i, n in enumerate(x._num):
+            if n:
+                n *= wx
+                for j, m in yterms:
+                    acc[(i * sx + j) % e] += n * m
+    return CycValue._make(e, acc, dx * dy)
 
 
 def _coerce(value) -> CycValue:

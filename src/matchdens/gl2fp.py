@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 from typing import Iterator, Sequence
 
 from .cyclotomic import CycValue
@@ -271,17 +272,10 @@ def product_character(factors: Sequence[Gl2ClassFunction]) -> ProductClassFuncti
             for _, fsize, fvalue in f.entries
         ]
     result = ProductClassFunction(primes=primes, entries=tuple(entries), group_order=order)
-    expected = 1 - _prod(1 - f.zero_fraction() for f in factors)
+    expected = 1 - prod(1 - f.zero_fraction() for f in factors)
     if result.zero_fraction() != expected:
         raise AssertionError("class-wise zero fraction violates inclusion-exclusion")
     return result
-
-
-def _prod(xs) -> Fraction:
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
 
 
 def steinberg_class_function(group, p: int):

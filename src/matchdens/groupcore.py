@@ -17,9 +17,10 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycValue
+from .cyclotomic import CycValue, hermitian_sum
 
 TABLE_LIMIT = 4096  # dense multiplication table below this order
+FULL_ASSOCIATIVITY_LIMIT = 200  # exhaustive associativity check up to this order
 ORDER_LIMIT = 10**6
 
 
@@ -205,9 +206,9 @@ class FiniteGroup:
 
     # -- structure checks
 
-    def validate(self, full_associativity_limit: int = 200) -> None:
+    def validate(self) -> None:
         """Structural sanity: identity, inverses, closure; exhaustive associativity
-        for small orders, seeded-sample associativity above the limit."""
+        up to order FULL_ASSOCIATIVITY_LIMIT, seeded-sample associativity above."""
         if self._validated:
             return
         e = self.identity
@@ -219,13 +220,13 @@ class FiniteGroup:
             if self.mul(i, j) != e or self.mul(j, i) != e:
                 raise InvalidGroupError(f"element index {i} has no two-sided inverse")
         n = self.order
-        if n <= full_associativity_limit:
-            triples = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
+        if n <= FULL_ASSOCIATIVITY_LIMIT:
+            self.ensure_table()
+            t = self._table.astype(np.uint8)  # indices < 200: each n^3 array < 8 MB
+            # (ab)c against a(bc) for every triple; the first mismatch is re-checked below
+            triples = np.argwhere(t[t] != t[np.arange(n)[:, None, None], t])[:1]
         else:
-            rng = np.random.default_rng(0)
-            triples = (tuple(t) for t in rng.integers(0, n, size=(2000, 3)))
+            triples = np.random.default_rng(0).integers(0, n, size=(2000, 3))
         for a, b, c in triples:
             if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                 raise InvalidGroupError(f"associativity fails at indices ({a},{b},{c})")
@@ -568,6 +569,13 @@ def _require_same_group(x: ClassFunction, y: ClassFunction) -> FiniteGroup:
     if x.group is not y.group:
         raise GroupMismatchError("class functions live on different groups")
     return x.group
+
+
+def inner_product(x: ClassFunction, y: ClassFunction) -> CycValue:
+    """Exact (1/|G|) sum_k |C_k| x_k conj(y_k) over the conjugacy classes C_k."""
+    group = _require_same_group(x, y)
+    sizes = group.conjugacy_classes().sizes
+    return hermitian_sum(sizes, x.values, y.values) * Fraction(1, group.order)
 
 
 def matching_fraction(x: ClassFunction, y: ClassFunction) -> Fraction:

@@ -301,6 +301,13 @@ def factorize_small(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def primitive_root(p: int) -> int:
+    """The smallest g >= 1 that generates the units mod the prime p (1 for p = 2)."""
+    order = p - 1
+    factors = [q for q, _ in factorize_small(order)]
+    return next(g for g in range(1, p) if all(pow(g, order // q, p) != 1 for q in factors))
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     """Combine x = r1 (mod m1), x = r2 (mod m2) for coprime moduli.
 

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchdens import catalog, groupcore
 from matchdens.chartable import (
@@ -28,6 +30,7 @@ def _table(name):
         ("sl2f3", [1, 1, 1, 2, 2, 2, 3]),
         ("heisenberg:3", [1] * 9 + [3, 3]),
         ("gl2fp:3", [1, 1, 2, 2, 2, 3, 3, 4]),
+        ("gl2fp:5", [1] * 4 + [4] * 10 + [5] * 4 + [6] * 6),
     ],
 )
 def test_degrees(name, degrees):
@@ -36,8 +39,9 @@ def test_degrees(name, degrees):
     assert sum(d * d for d in degrees) == group.order
 
 
-@pytest.mark.parametrize("name", ["s3", "q8", "sl2f3", "heisenberg:3", "gl2fp:3"])
+@pytest.mark.parametrize("name", ["s3", "q8", "sl2f3", "heisenberg:3", "gl2fp:3", "gl2fp:5"])
 def test_exact_orthogonality(name):
+    # an independent reference for groupcore.inner_product: plain CycValue arithmetic
     group, table = _table(name)
     part = group.conjugacy_classes()
     for a in range(len(table)):
@@ -47,6 +51,46 @@ def test_exact_orthogonality(name):
                 acc = acc + size * (va * vb.conjugate())
             expected = group.order if a == b else 0
             assert acc.as_rational() == expected, (name, a, b)
+
+
+# sha256 over groupcore.dumps(class_function_to_json(cf)) + "\n" for every
+# character of these groups, in table order: pins the exact values of every
+# table and the order of its characters
+PINNED_TABLES = ["q8", "s3", "d4", "sl2f3", "heisenberg:3", "gl2fp:3", "gl2fp:5"]
+PINNED_SHA256 = "46a73196bf74d16413ef5a4e2ce45f17982ed29d4c2ba84c6f425d290ee3c37c"
+
+
+def test_tables_pinned_output():
+    digest = hashlib.sha256()
+    for name in PINNED_TABLES:
+        for cf in _table(name)[1]:
+            digest.update(groupcore.dumps(groupcore.class_function_to_json(cf)).encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == PINNED_SHA256
+
+
+def _class_function_values(classes):
+    value = st.sampled_from([1, 2, 3, 4, 6, 8, 12]).flatmap(
+        lambda e: st.dictionaries(
+            st.integers(min_value=0, max_value=e - 1),
+            st.fractions(min_value=-3, max_value=3, max_denominator=6),
+            max_size=3,
+        ).map(lambda d: CycValue(e, d))
+    )
+    return st.lists(value, min_size=classes, max_size=classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inner_product_matches_naive_sum(data):
+    group = catalog.named_group(data.draw(st.sampled_from(["s3", "q8", "sl2f3"])))
+    part = group.conjugacy_classes()
+    x = groupcore.ClassFunction(group, data.draw(_class_function_values(len(part))))
+    y = groupcore.ClassFunction(group, data.draw(_class_function_values(len(part))))
+    naive = CycValue.zero()
+    for size, vx, vy in zip(part.sizes, x.values, y.values):
+        naive = naive + size * (vx * vy.conjugate())
+    assert groupcore.inner_product(x, y) == naive * Fraction(1, group.order)
 
 
 def test_q8_two_dimensional_character_vanishing():

@@ -100,6 +100,38 @@ def test_ring_axioms(triple):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+@st.composite
+def _equal_or_not(draw):
+    """(a, b, equal): b is a plus a vanishing sum of roots, plus one term if not equal."""
+    e = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 15]))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    base = draw(st.dictionaries(st.integers(0, e - 1), coeffs, max_size=4))
+    p = draw(st.sampled_from([q for q in (2, 3, 5) if e % q == 0]))
+    shift, c = draw(st.integers(0, e - 1)), draw(coeffs)
+    other = dict(base)
+    for i in range(p):  # the p-th roots of unity times z^shift sum to zero
+        j = (shift + i * e // p) % e
+        other[j] = other.get(j, 0) + c
+    equal = draw(st.booleans())
+    if not equal:
+        j = draw(st.integers(0, e - 1))
+        other[j] = other.get(j, 0) + draw(coeffs.filter(bool))
+    return CycValue(e, base), CycValue(e, other), equal
+
+
+@given(_equal_or_not())
+def test_equality_is_power_basis_equality(case):
+    a, b, equal = case
+    e = a.conductor
+    assert (a == b) is equal
+    assert (a.power_basis() == b.power_basis()) is equal
+    for k in (2, 3):
+        assert (a.embed(k * e).power_basis() == b.embed(k * e).power_basis()) is equal
+        assert (a.embed(k * e) == b) is equal
+        assert (a == b.embed(k * e)) is equal
+    assert (a.embed(2 * e) == b.embed(3 * e)) is equal
+
+
 def test_sort_key_total_and_stable():
     vals = [CycValue.root_of_unity(6, j) for j in range(6)]
     keys = [v.sort_key(12) for v in vals]

@@ -83,6 +83,12 @@ def test_invalid_group_reported():
     broken = FiniteGroup(range(6), lambda a, b: min(a + b, 5))
     with pytest.raises(InvalidGroupError):
         broken.conjugacy_classes()
+    # a Latin square with identity 0 in which every element is its own inverse:
+    # a loop, but not associative: 1*(1*2) = 4 while (1*1)*2 = 2
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    nonassociative = FiniteGroup(range(5), lambda a, b: loop[a][b])
+    with pytest.raises(InvalidGroupError, match="associativity"):
+        nonassociative.validate()
 
 
 def test_direct_product_orders_and_classes():

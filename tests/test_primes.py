@@ -14,6 +14,7 @@ from matchdens.primes import (
     next_prime,
     pollard_rho,
     primes_below,
+    primitive_root,
     quadratic_roots_mod,
     sieve_primes,
     sqrt_mod,
@@ -185,6 +186,18 @@ def test_factorize_small_multiplies_back(n):
     assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
     assert all(_is_prime_trial(p) and e >= 1 for p, e in pairs)
     assert math.prod(p**e for p, e in pairs) == n
+
+
+def test_primitive_root_is_least_generator():
+    for p in primes_below(500):
+        orders = []
+        for g in range(1, p):
+            k, x = 1, g
+            while x != 1:
+                x = x * g % p
+                k += 1
+            orders.append(k)
+        assert primitive_root(p) == 1 + orders.index(p - 1), p
 
 
 def test_legendre_symbol():
