@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from . import gl2fp
+import numpy as np
+
 from .groupcore import ConjClassPartition, FiniteGroup
 from .primes import is_prime, primitive_root
 
@@ -108,8 +109,10 @@ def sl2f3_group() -> FiniteGroup:
 def gl2_group(p: int) -> FiniteGroup:
     """All of GL2 over F_p as an explicit group (p <= 31).
 
-    Conjugacy classes come from the rational-canonical-form classification
-    rather than orbit search, so they stay cheap at the top of the range.
+    Two matrices are conjugate exactly when they share the characteristic
+    polynomial (trace, det) and are both scalar or both not, so conjugacy
+    classes come from one int64 pass keyed on (scalar, trace, det) rather
+    than from orbit search, and stay cheap at the top of the range.
     """
     if p > GL2_ENUMERATION_MAX_P:
         raise ValueError(f"gl2fp enumeration is bounded at p <= {GL2_ENUMERATION_MAX_P}")
@@ -120,20 +123,23 @@ def gl2_group(p: int) -> FiniteGroup:
     ]
 
     def classified_partition(group: FiniteGroup) -> ConjClassPartition:
-        buckets: dict = {}
-        for i, m in enumerate(group.elements):
-            key = gl2fp.classify(gl2fp.GL2Element(p, *m))
-            buckets.setdefault(key, []).append(i)
-        classes = sorted((tuple(v) for v in buckets.values()), key=lambda c: c[0])
-        class_of = [0] * group.order
-        for ci, members in enumerate(classes):
-            for m in members:
-                class_of[m] = ci
+        a, b, c, d = np.array(group.elements, dtype=np.int64).T
+        scalar = (b == 0) & (c == 0) & (a == d)
+        keys = (scalar * p + (a + d) % p) * p + (a * d - b * c) % p
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # classes by their first element
+        class_of = np.argsort(order)[inverse.ravel()]
+        sizes = np.bincount(class_of).tolist()
+        members = np.argsort(class_of, kind="stable").tolist()
+        ends = np.cumsum(sizes).tolist()
+        classes = tuple(
+            tuple(members[end - size:end]) for size, end in zip(sizes, ends)
+        )
         return ConjClassPartition(
-            classes=tuple(classes),
-            representatives=tuple(c[0] for c in classes),
-            sizes=tuple(len(c) for c in classes),
-            class_of=tuple(class_of),
+            classes=classes,
+            representatives=tuple(first[order].tolist()),
+            sizes=tuple(sizes),
+            class_of=tuple(class_of.tolist()),
         )
 
     r = primitive_root(p)

@@ -7,8 +7,8 @@ all of them 1.  That form is unique, so equality at one conductor is tuple
 equality; values at different conductors are compared inside the field of
 their lcm.  Every result is built as an integer polynomial in z and reduced
 once modulo the monic cyclotomic polynomial Phi_e, in integer arithmetic.
-`canonical()`, `power_basis()` and `sort_key()` return the coordinates as
-`Fraction`s.
+`canonical()` and `power_basis()` return the coordinates as `Fraction`s;
+`sort_key()` returns them as ints, for algebraic integers only.
 """
 
 from __future__ import annotations
@@ -202,9 +202,14 @@ class CycValue:
 
     __hash__ = None  # equality crosses conductors; hashing would be a trap
 
-    def sort_key(self, conductor: int) -> tuple[Fraction, ...]:
-        """Deterministic comparison key: power basis at a fixed common conductor."""
-        return self.embed(conductor).power_basis()
+    def sort_key(self, conductor: int) -> tuple[int, ...]:
+        """Deterministic comparison key of an algebraic integer, such as a
+        character value: its integer power-basis coordinates at a fixed common
+        conductor.  Raises ValueError when a coordinate is not an integer."""
+        value = self.embed(conductor)
+        if value._den != 1:
+            raise ValueError(f"{self!r} is not an algebraic integer")
+        return value._num
 
     def __repr__(self) -> str:
         if self.is_rational():

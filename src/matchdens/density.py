@@ -13,6 +13,7 @@ more than every other step combined.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -172,6 +173,14 @@ def _within(num: int, den: int, c: Fraction, eps: Fraction) -> bool:
     lhs = abs(num * c.denominator - c.numerator * den) * eps.denominator
     rhs = eps.numerator * den * c.denominator
     return lhs <= rhs
+
+
+def _same_value(num: int, den: int, other_num: int, other_den: int) -> bool:
+    # the planner stores exactly the unreduced pair a verifier recomputes, so
+    # equal pairs skip the two full-size cross products
+    if num == other_num and den == other_den:
+        return True
+    return num * other_den == other_num * den
 
 
 def _le(num: int, den: int, bound: Fraction) -> bool:
@@ -436,39 +445,30 @@ def verify_plan(plan: ApproxPlan) -> bool:
     if plan.mode == MODE_MATCHING:
         d = plan.twist_order
         num, den = num * (d - 1) + den, den * d
-    if num * plan.predicted_den != plan.predicted_num * den:
+    if not _same_value(num, den, plan.predicted_num, plan.predicted_den):
         return False
     return _within(num, den, plan.target, plan.epsilon)
 
 
 def verify_plans(plans: list[ApproxPlan]) -> int:
-    """verify_plan over many plans, sharing prefix products between windows
-    that extend one another (sorted sweep).  Returns the number verified."""
+    """verify_plan over many plans, shortest window first, reusing the product
+    of the longest verified window that sits inside each one (windows from
+    different start primes overlap too).  Returns the number verified."""
     indexed = sorted(
-        (p for p in plans if p.window is not None),
-        key=lambda p: (p.window.primes[0], len(p.window.primes)),
+        (p for p in plans if p.window is not None), key=lambda p: len(p.window.primes)
     )
     count = 0
-    cache: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    verified: list[tuple[tuple[int, ...], int, int]] = []
     for plan in indexed:
         w = plan.window.primes
-        first = w[0]
-        cached = cache.get(first)
-        if cached and len(cached[0]) <= len(w) and w[: len(cached[0])] == cached[0]:
-            prev, num, den = cached
-            seg = w[len(prev) :]
-            if seg:
-                num *= _prod_tree([p - 1 for p in seg])
-                den *= _prod_tree(list(seg))
-        else:
-            num, den = _pair_product(w, 0, len(w) - 1)
-        cache[first] = (w, num, den)
+        num, den = _window_product(w, verified)
+        verified.append((w, num, den))
         if plan.mode == MODE_MATCHING:
             d = plan.twist_order
             pn, pd = num * (d - 1) + den, den * d
         else:
             pn, pd = num, den
-        if pn * plan.predicted_den != plan.predicted_num * pd:
+        if not _same_value(pn, pd, plan.predicted_num, plan.predicted_den):
             raise AssertionError("plan's stored prediction disagrees with its window")
         if not _within(pn, pd, plan.target, plan.epsilon):
             raise AssertionError("plan fails its band under independent evaluation")
@@ -479,6 +479,20 @@ def verify_plans(plans: list[ApproxPlan]) -> int:
                 raise AssertionError("preset plan fails verification")
             count += 1
     return count
+
+
+def _window_product(w: tuple[int, ...], verified) -> tuple[int, int]:
+    """(prod (p-1), prod p) over w, through the last entry of verified whose
+    primes form a contiguous run of w."""
+    for inner, num, den in reversed(verified):
+        if len(inner) <= len(w) and w[0] <= inner[0] and inner[-1] <= w[-1]:
+            i = bisect.bisect_left(w, inner[0])
+            j = i + len(inner)
+            if w[i:j] == inner:
+                head_num, head_den = _pair_product(w, 0, i - 1)
+                tail_num, tail_den = _pair_product(w, j, len(w) - 1)
+                return num * (head_num * tail_num), den * (head_den * tail_den)
+    return _pair_product(w, 0, len(w) - 1)
 
 
 def check_gap_bound(plan: ApproxPlan) -> bool:

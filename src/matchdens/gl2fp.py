@@ -8,17 +8,22 @@ non-semisimple classes (value p / 0 / 1 / -1 on the four types) is the source
 of the dense family of exact densities, so its class data carries exact
 integer values and exact class sizes.
 
-Products over distinct primes are handled class-wise: class sizes and values
-multiply, so nothing the size of |GL2| x |GL2| is ever materialized.
+Class data lists the p^2 - 1 classes of GL2(F_p) and is bounded at
+p <= CLASS_DATA_MAX_P.  A product over distinct primes p_1..p_k is kept as
+its factors plus its value distribution (value -> total class size), the
+convolution of the factors' distributions: at most 2^(k+1) + 1 values for
+Steinberg factors.  Its prod_j (p_j^2 - 1) class rows are never stored; each
+is computed on demand from one row of every factor.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
-from typing import Iterator, Sequence
 
 from .cyclotomic import CycValue
 from .primes import is_prime, legendre, sqrt_mod
@@ -29,6 +34,9 @@ SPLIT = "split"
 NONSPLIT = "nonsplit"
 
 ENUMERATION_MAX_P = 31
+# class_inventory lists p^2 - 1 classes; 499 is the largest prime that keeps
+# them under 2.5e5 rows (0.9 s and a 65 MB peak to build at the bound)
+CLASS_DATA_MAX_P = 499
 
 
 def _require_prime(p: int) -> None:
@@ -108,8 +116,16 @@ def gl2_order(p: int) -> int:
 
 
 def class_inventory(p: int) -> list[tuple[ClassType, int]]:
-    """Every conjugacy class of GL2(F_p) with its exact size."""
+    """Every conjugacy class of GL2(F_p) with its exact size: p^2 - 1 rows.
+
+    Refuses p above CLASS_DATA_MAX_P with ValueError before building any row.
+    """
     _require_prime(p)
+    if p > CLASS_DATA_MAX_P:
+        raise ValueError(
+            f"GL2 class data is bounded at p <= {CLASS_DATA_MAX_P} "
+            f"({CLASS_DATA_MAX_P ** 2 - 1} classes); p = {p} has {p * p - 1}"
+        )
     out: list[tuple[ClassType, int]] = []
     for lam in range(1, p):
         out.append((ClassType(CENTRAL, (lam,)), 1))
@@ -233,16 +249,71 @@ def steinberg_character_data(p: int) -> Gl2ClassFunction:
     return Gl2ClassFunction(p=p, entries=entries)
 
 
+class ProductRows(Sequence):
+    """The (class size, value) rows of a product class function, built on demand.
+
+    Row i combines one row of each factor: i read in mixed radix, the last
+    factor's row as the lowest digit, so iteration runs in itertools.product
+    order over the factors' rows.  The row is the product of those rows'
+    sizes and of their values.
+    """
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, factors: tuple[Gl2ClassFunction, ...]):
+        self._factors = factors
+
+    def __len__(self) -> int:
+        return prod(len(f.entries) for f in self._factors)
+
+    def __getitem__(self, index) -> tuple[int, int]:
+        index = operator.index(index)
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("product row index out of range")
+        size = value = 1
+        for f in reversed(self._factors):
+            index, digit = divmod(index, len(f.entries))
+            _, fsize, fvalue = f.entries[digit]
+            size *= fsize
+            value *= fvalue
+        return size, value
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for rows in iproduct(*(f.entries for f in self._factors)):
+            yield prod(size for _, size, _ in rows), prod(v for _, _, v in rows)
+
+
 @dataclass(frozen=True)
 class ProductClassFunction:
-    """Class function on GL2(F_p1) x ... x GL2(F_pk), stored class-wise."""
+    """Class function on GL2(F_p1) x ... x GL2(F_pk), stored as a value distribution.
 
-    primes: tuple[int, ...]
-    entries: tuple[tuple[int, int], ...]  # (class size, integer value)
-    group_order: int
+    `distribution` holds (value, total size of the classes taking it) pairs
+    sorted by value; it is all that the zero fraction and the group order
+    need.  The class rows, one per tuple of factor classes, are read from the
+    factors on demand through `entries`.
+    """
+
+    factors: tuple[Gl2ClassFunction, ...]
+    distribution: tuple[tuple[int, int], ...]  # (integer value, total class size)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(f.p for f in self.factors)
+
+    @property
+    def group_order(self) -> int:
+        return sum(size for _, size in self.distribution)
+
+    @property
+    def entries(self) -> ProductRows:
+        """The (class size, integer value) rows, one per tuple of factor classes."""
+        return ProductRows(self.factors)
 
     def zero_fraction(self) -> Fraction:
-        zero = sum(size for size, v in self.entries if v == 0)
+        zero = sum(size for v, size in self.distribution if v == 0)
         return Fraction(zero, self.group_order)
 
     def nonzero_fraction(self) -> Fraction:
@@ -252,9 +323,15 @@ class ProductClassFunction:
 def product_character(factors: Sequence[Gl2ClassFunction]) -> ProductClassFunction:
     """Outer product of class functions over pairwise distinct primes.
 
+    The value distributions of the factors are convolved: values multiply and
+    class sizes multiply.  Memory is O(2^k) for k factors: a Steinberg factor
+    takes four values (p, 0, 1, -1), so the product takes at most 2^(k+1) + 1,
+    against prod_j (p_j^2 - 1) class rows, which are never listed.
+
     The zero fraction obeys inclusion-exclusion exactly:
     1 - prod_j (1 - zero_fraction_j).
     """
+    factors = tuple(factors)
     if not factors:
         raise ValueError("need at least one factor")
     primes = tuple(f.p for f in factors)
@@ -262,16 +339,19 @@ def product_character(factors: Sequence[Gl2ClassFunction]) -> ProductClassFuncti
         raise ValueError(
             "repeated prime: the factors must be pairwise linearly disjoint"
         )
-    entries: list[tuple[int, int]] = [(1, 1)]
-    order = 1
+    dist = {1: 1}
     for f in factors:
-        order *= f.group_order
-        entries = [
-            (size * fsize, value * fvalue)
-            for size, value in entries
-            for _, fsize, fvalue in f.entries
-        ]
-    result = ProductClassFunction(primes=primes, entries=tuple(entries), group_order=order)
+        fdist: dict[int, int] = {}
+        for _, size, value in f.entries:
+            fdist[value] = fdist.get(value, 0) + size
+        out: dict[int, int] = {}
+        for value, size in dist.items():
+            for fvalue, fsize in fdist.items():
+                out[value * fvalue] = out.get(value * fvalue, 0) + size * fsize
+        dist = out
+    result = ProductClassFunction(factors=factors, distribution=tuple(sorted(dist.items())))
+    if result.group_order != prod(f.group_order for f in factors):
+        raise AssertionError("value distribution does not cover the product group")
     expected = 1 - prod(1 - f.zero_fraction() for f in factors)
     if result.zero_fraction() != expected:
         raise AssertionError("class-wise zero fraction violates inclusion-exclusion")

@@ -67,6 +67,13 @@ def test_approx_budget_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gl2_refuses_p_past_class_data_bound(capsys):
+    assert main(["--format", "json", "gl2", "--p", "503"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err and "bounded at p <= 499" in captured.err
+
+
 def test_gl2_subcommand(capsys):
     code, report = _run(capsys, "gl2", "--p", "5", "--report")
     assert code == 0

@@ -137,3 +137,6 @@ def test_sort_key_total_and_stable():
     keys = [v.sort_key(12) for v in vals]
     assert len(set(keys)) == 6
     assert sorted(keys) == sorted(keys, key=tuple)
+    assert all(k == tuple(int(c) for c in v.embed(12).canonical()) for k, v in zip(keys, vals))
+    with pytest.raises(ValueError):
+        (CycValue.root_of_unity(6) * Fraction(1, 2)).sort_key(12)

@@ -208,6 +208,48 @@ def test_verify_plans_shares_prefixes():
     assert verify_plans(plans) == len(plans)
 
 
+def test_window_product_reuses_a_contiguous_inner_run():
+    primes = tuple(int(p) for p in density.sieve_primes(3000) if p > 7)
+
+    def direct(w):
+        return density._pair_product(w, 0, len(w) - 1)
+
+    inner = primes[40:90]
+    for w in (inner, primes[40:200], primes[10:90], primes[0:250]):
+        assert density._window_product(w, [(inner, *direct(inner))]) == direct(w)
+    # a stand-in product shows which windows go through the inner run
+    fake = [(inner, 1, 1)]
+    assert density._window_product(primes[40:200], fake) == direct(primes[90:200])
+    assert density._window_product(primes[10:90], fake) == direct(primes[10:40])
+    gapped = primes[30:60] + primes[61:120]  # skips a prime of the inner run
+    assert density._window_product(gapped, fake) == direct(gapped)
+    assert density._window_product(primes[41:200], fake) == direct(primes[41:200])
+
+
+def test_verify_plans_across_nested_starts():
+    outer = approximate_zero_density(Fraction(1, 5), Fraction(1, 10))
+    plans = [
+        outer,
+        approximate_zero_density(Fraction(1, 2), Fraction(1, 30)),
+        approximate_zero_density(Fraction(3, 5), Fraction(1, 50)),
+        approximate_matching_density(Fraction(7, 10), Fraction(1, 20)),
+    ]
+    starts = [p.window.primes[0] for p in plans]
+    assert len(set(starts)) == 4
+    assert all(p.window.primes[-1] <= outer.window.primes[-1] for p in plans)
+    assert verify_plans(plans) == len(plans)
+    tampered = ApproxPlan(
+        mode=outer.mode,
+        target=outer.target,
+        epsilon=outer.epsilon,
+        predicted_num=outer.predicted_num * 11 - 1,
+        predicted_den=outer.predicted_den * 11,
+        window=outer.window,
+    )
+    with pytest.raises(AssertionError):
+        verify_plans(plans[1:] + [tampered])
+
+
 def test_gap_bound_over_each_plan_step():
     plan = approximate_zero_density(Fraction(3, 10), Fraction(1, 10))
     primes = plan.window.primes

@@ -1,6 +1,10 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchdens import catalog, gl2fp, groupcore
 from matchdens.gl2fp import (
@@ -104,6 +108,58 @@ def test_product_character_examples():
         product_character([])
 
 
+def _materialized_rows(factors):
+    # the list comprehension product_character used to store: the reference
+    entries = [(1, 1)]
+    for f in factors:
+        entries = [
+            (size * fsize, value * fvalue)
+            for size, value in entries
+            for _, fsize, fvalue in f.entries
+        ]
+    return entries
+
+
+@pytest.mark.parametrize("primes", [(5,), (5, 7), (2, 3, 5), (3, 5, 7), (2, 3, 7, 13)])
+def test_product_rows_match_materialized(primes):
+    factors = [steinberg_character_data(p) for p in primes]
+    rows = product_character(factors).entries
+    reference = _materialized_rows(factors)
+    assert len(rows) == len(reference)
+    assert list(rows) == reference
+    assert [rows[i] for i in range(len(rows))] == reference
+
+
+def test_product_rows_indexing_on_a_million_rows():
+    factors = [steinberg_character_data(p) for p in (2, 5, 7, 17)]
+    rows = product_character(factors).entries
+    reference = _materialized_rows(factors)
+    n = len(reference)
+    assert len(rows) == n == 3 * 24 * 48 * 288
+    for i in random.Random(4).sample(range(n), 200):
+        assert rows[i] == reference[i]
+        assert rows[i - n] == reference[i]
+    assert rows[-1] == reference[-1]
+    assert rows[-n] == reference[0]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            rows[bad]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=3, unique=True))
+def test_product_distribution_tallies_the_rows(primes):
+    prod = product_character([steinberg_character_data(p) for p in primes])
+    assert sum(size for _, size in prod.distribution) == math.prod(gl2_order(p) for p in primes)
+    tally: Counter = Counter()
+    for size, value in prod.entries:
+        tally[value] += size
+    assert tally[0] == sum(size for v, size in prod.distribution if v == 0)
+    assert dict(prod.distribution) == dict(tally)
+    assert len(prod.distribution) <= 2 ** (len(primes) + 1) + 1
+    assert [v for v, _ in prod.distribution] == sorted(tally)
+
+
 def test_product_zero_fraction_vs_explicit_group():
     # element-level cross-check on the explicit GL2(F3) x GL2(F5) group
     g3 = catalog.gl2_group(3)
@@ -134,3 +190,48 @@ def test_class_function_value_lookup():
 def test_enumeration_bound():
     with pytest.raises(ValueError):
         list(enumerate_gl2(37))
+
+
+def _classify_partition(group, p):
+    # the per-element bucketing gl2_group used before its numpy pass: the reference
+    buckets: dict = {}
+    for i, m in enumerate(group.elements):
+        buckets.setdefault(classify(GL2Element(p, *m)), []).append(i)
+    classes = sorted((tuple(v) for v in buckets.values()), key=lambda c: c[0])
+    class_of = [0] * group.order
+    for ci, members in enumerate(classes):
+        for m in members:
+            class_of[m] = ci
+    return groupcore.ConjClassPartition(
+        classes=tuple(classes),
+        representatives=tuple(c[0] for c in classes),
+        sizes=tuple(len(c) for c in classes),
+        class_of=tuple(class_of),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gl2_partition_matches_classify(p):
+    group = catalog.gl2_group(p)
+    part = group.conjugacy_classes()
+    reference = _classify_partition(group, p)
+    assert part.classes == reference.classes
+    assert part.representatives == reference.representatives
+    assert part.sizes == reference.sizes
+    assert part.class_of == reference.class_of
+    assert sorted(part.sizes) == sorted(size for _, size in class_inventory(p))
+
+
+def test_class_data_bound(monkeypatch):
+    bound = gl2fp.CLASS_DATA_MAX_P
+    assert len(class_inventory(bound)) == bound * bound - 1
+    next_prime = next(q for q in range(bound + 1, 2 * bound) if gl2fp.is_prime(q))
+
+    def no_rows(*args):
+        raise AssertionError("built a class row past the bound")
+
+    monkeypatch.setattr(gl2fp, "ClassType", no_rows)
+    with pytest.raises(ValueError, match="bounded"):
+        class_inventory(next_prime)
+    with pytest.raises(ValueError, match="bounded"):
+        steinberg_character_data(next_prime)
