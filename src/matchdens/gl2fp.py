@@ -22,6 +22,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 
@@ -39,6 +40,10 @@ ENUMERATION_MAX_P = 31
 CLASS_DATA_MAX_P = 499
 
 
+# memoized so that per-matrix callers pay one primality test per p; a refusal
+# raises, and lru_cache does not cache exceptions, so a composite p is refused
+# on every call
+@lru_cache(maxsize=64)
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

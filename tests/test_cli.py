@@ -145,6 +145,21 @@ def test_ellstat_subcommand(capsys):
     assert result["stats"]["split"]["expected"] == {"num": "9", "den": "20"}
 
 
+def test_ellstat_refuses_qmax_past_bound(capsys, monkeypatch):
+    from matchdens import ellstat
+
+    def forbidden_sieve(limit):
+        raise AssertionError("sieved before the q_max bound was checked")
+
+    monkeypatch.setattr(ellstat, "sieve_primes", forbidden_sieve)
+    code = main(["--format", "json", "ellstat", "--a", "-16", "--b", "16", "--p", "11",
+                 "--qmax", str(2**21)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err and "MAX_Q = 2097152" in captured.err
+
+
 def test_ellstat_curve_file(tmp_path, capsys):
     path = tmp_path / "curves.txt"
     path.write_text("-16 16 37 37a\n0 1\n")

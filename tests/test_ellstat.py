@@ -1,8 +1,15 @@
-import pytest
+import hashlib
+import random
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from matchdens import ellstat
 from matchdens.ellstat import (
     AMBIGUOUS,
     CONDUCTOR_37_CURVE,
+    MAX_Q,
     BadReductionError,
     Curve,
     chebotarev_histogram,
@@ -10,9 +17,24 @@ from matchdens.ellstat import (
     count_points_naive,
     frobenius_class,
     parse_curve_file,
+    point_counts,
     trace_of_frobenius,
 )
-from matchdens.primes import sieve_primes
+from matchdens.primes import is_prime, sieve_primes
+
+
+def count_points_reference(curve: Curve, q: int) -> int:
+    """The single-prime % kernel that point_counts replaced, kept as a reference."""
+    a, b = curve.a % q, curve.b % q
+    x = np.arange(q, dtype=np.int64)
+    x2 = x * x % q
+    f = (x2 * x + a * x + b) % q
+    squares = np.zeros(q, dtype=bool)
+    squares[x2] = True
+    nonzero = f != 0
+    n_nonzero = int(np.count_nonzero(nonzero))
+    n_square = int(np.count_nonzero(squares[f] & nonzero))
+    return q + 1 + 2 * n_square - n_nonzero
 
 
 def test_curve_validation():
@@ -38,6 +60,93 @@ def test_count_points_matches_naive_oracle(curve):
         if q <= 3 or not curve.has_good_reduction(q):
             continue
         assert count_points(curve, q) == count_points_naive(curve, q)
+
+
+GOOD_SMALL_PRIMES = [int(q) for q in sieve_primes(300) if q >= 5]
+
+
+@st.composite
+def curves_and_primes(draw):
+    a = draw(st.integers(-60, 60))
+    b = draw(st.integers(-60, 60))
+    assume(4 * a**3 + 27 * b**2 != 0)
+    curve = Curve(a, b)
+    good = [q for q in GOOD_SMALL_PRIMES if curve.has_good_reduction(q)]
+    qs = draw(st.lists(st.sampled_from(good), min_size=1, max_size=4))
+    return curve, qs
+
+
+@settings(max_examples=40, deadline=None)
+@given(curves_and_primes())
+def test_point_counts_match_naive_oracle(case):
+    curve, qs = case
+    assert point_counts(curve, qs) == [count_points_naive(curve, q) for q in qs]
+
+
+def test_point_counts_reuse_workspace_across_sizes():
+    # a squares table or buffer left over from a larger prime would show here
+    for curve in (CONDUCTOR_37_CURVE, Curve(0, 1), Curve(-7, 10)):
+        qs = [20011, 11, 1009, 20011, 5, 2003]
+        qs = [q for q in qs if curve.has_good_reduction(q)]
+        assert point_counts(curve, qs) == [count_points_reference(curve, q) for q in qs]
+    assert point_counts(CONDUCTOR_37_CURVE, []) == []
+
+
+def test_point_counts_exact_at_the_bound():
+    # f(x) = (x^2 + a)x + b stays below q^3, so int64 is exact exactly up to 2^21
+    assert (MAX_Q - 1) ** 3 < 2**63 <= MAX_Q**3
+    largest = MAX_Q - 1
+    while not is_prime(largest):
+        largest -= 1
+    assert largest == 2097143
+    for curve in (CONDUCTOR_37_CURVE, Curve(-60, 59)):
+        assert count_points(curve, largest) == count_points_reference(curve, largest)
+    with pytest.raises(ValueError, match="MAX_Q"):
+        count_points(CONDUCTOR_37_CURVE, MAX_Q)
+
+
+class _Forbidden:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the bound was checked")
+
+
+def _forbidden_sieve(limit):
+    raise AssertionError(f"sieve_primes({limit}) called before the bound was checked")
+
+
+def test_q_bound_refused_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(ellstat, "np", _Forbidden())
+    monkeypatch.setattr(ellstat, "sieve_primes", _forbidden_sieve)
+    for call in (
+        lambda: count_points(CONDUCTOR_37_CURVE, MAX_Q + 7),
+        lambda: point_counts(CONDUCTOR_37_CURVE, [5, 11, MAX_Q]),
+        lambda: trace_of_frobenius(CONDUCTOR_37_CURVE, 10**12 + 39),
+        lambda: chebotarev_histogram(CONDUCTOR_37_CURVE, 11, MAX_Q),
+    ):
+        with pytest.raises(ValueError, match="MAX_Q") as exc:
+            call()
+        assert not isinstance(exc.value, BadReductionError)
+
+
+def pinned_curves():
+    rng = random.Random(5)
+    out = []
+    while len(out) < 3:
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if 4 * a**3 + 27 * b**2:
+            out.append(Curve(a, b))
+    return out
+
+
+def test_histogram_samples_pinned():
+    # the digest was taken from the per-prime kernel of count_points_reference
+    samples = []
+    for curve, p, workers in zip(pinned_curves(), (11, 13, 17), (1, 1, 2)):
+        hist = chebotarev_histogram(curve, p, 5000, workers=workers)
+        samples.append([(s.q, s.a_q, s.class_type) for s in hist.samples])
+    assert [len(part) for part in samples] == [664, 664, 664]
+    digest = hashlib.sha256(repr(samples).encode()).hexdigest()
+    assert digest == "76f697ca8744377d63db3f2c96b4c9ec5bcb4766d7f9cf6c57ad6b227e9293ee"
 
 
 def test_hasse_bound_on_samples():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import catalog, gl2fp, groupcore
+from matchdens import catalog, gl2fp, groupcore, primes
 from matchdens.gl2fp import (
     CENTRAL,
     NONSEMISIMPLE,
@@ -32,6 +32,24 @@ def test_element_validation():
         GL2Element(6, 1, 0, 0, 1)  # composite p
     m = GL2Element(5, 6, -1, 0, 1)
     assert m.entries() == (1, 4, 0, 1)
+
+
+def test_prime_check_runs_once_per_p(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return primes.is_prime(n)
+
+    monkeypatch.setattr(gl2fp, "is_prime", counting_is_prime)
+    gl2fp._require_prime.cache_clear()
+    assert len(list(enumerate_gl2(5))) == gl2_order(5)
+    assert len(calls) <= 1
+    # refusals are not cached: a composite p is tested and refused every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            GL2Element(6, 1, 0, 0, 1)
+    assert calls.count(6) == 2
 
 
 def test_classify_examples():
