@@ -9,7 +9,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .groupcore import ConjClassPartition, FiniteGroup
+from .groupcore import FiniteGroup
 from .primes import is_prime, primitive_root
 
 GL2_ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
@@ -110,9 +110,9 @@ def gl2_group(p: int) -> FiniteGroup:
     """All of GL2 over F_p as an explicit group (p <= 31).
 
     Two matrices are conjugate exactly when they share the characteristic
-    polynomial (trace, det) and are both scalar or both not, so conjugacy
-    classes come from one int64 pass keyed on (scalar, trace, det) rather
-    than from orbit search, and stay cheap at the top of the range.
+    polynomial (trace, det) and are both scalar or both not, so each element
+    is labelled by one int64 key on (scalar, trace, det) rather than by orbit
+    search, and conjugacy stays cheap at the top of the range.
     """
     if p > GL2_ENUMERATION_MAX_P:
         raise ValueError(f"gl2fp enumeration is bounded at p <= {GL2_ENUMERATION_MAX_P}")
@@ -122,34 +122,21 @@ def gl2_group(p: int) -> FiniteGroup:
         if (m[0] * m[3] - m[1] * m[2]) % p != 0
     ]
 
-    def classified_partition(group: FiniteGroup) -> ConjClassPartition:
+    def classified_labels(group: FiniteGroup) -> np.ndarray:
         a, b, c, d = np.array(group.elements, dtype=np.int64).T
         scalar = (b == 0) & (c == 0) & (a == d)
-        keys = (scalar * p + (a + d) % p) * p + (a * d - b * c) % p
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # classes by their first element
-        class_of = np.argsort(order)[inverse.ravel()]
-        sizes = np.bincount(class_of).tolist()
-        members = np.argsort(class_of, kind="stable").tolist()
-        ends = np.cumsum(sizes).tolist()
-        classes = tuple(
-            tuple(members[end - size:end]) for size, end in zip(sizes, ends)
-        )
-        return ConjClassPartition(
-            classes=classes,
-            representatives=tuple(first[order].tolist()),
-            sizes=tuple(sizes),
-            class_of=tuple(class_of.tolist()),
-        )
+        return (scalar * p + (a + d) % p) * p + (a * d - b * c) % p
 
-    r = primitive_root(p)
+    # diag(r, 1) and [[-1, 1], [-1, 0]] generate GL2(F_p) for odd p; at p = 2
+    # diag(1, 1) is the identity, and the swap [[0, 1], [1, 0]] takes its place
+    first = (primitive_root(p), 0, 0, 1) if p > 2 else (0, 1, 1, 0)
     return FiniteGroup(
         elements,
         lambda x, y: _mat_mul_mod(x, y, p),
         name=f"gl2fp:{p}",
         inverse=lambda x: _mat_inv_mod(x, p),
-        generators=[(r, 0, 0, 1), ((p - 1) % p, 1, (p - 1) % p, 0)],
-        conjugacy_override=classified_partition,
+        generators=[first, ((p - 1) % p, 1, (p - 1) % p, 0)],
+        class_labels=classified_labels,
     )
 
 

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .cyclotomic import CycValue
 from .groupcore import ClassFunction, FiniteGroup, inner_product
-from .primes import primitive_root
+from .primes import is_prime, primitive_root
 
 MAX_CLASSES = 30
 MAX_ORDER = 2000
@@ -159,23 +159,19 @@ def _coords_in_basis(basis: list[list[int]], vec: list[int], l: int) -> list[int
 # -- the table computation
 
 
-def _choose_modulus(order: int, exponent: int, bound: int) -> int:
-    from .primes import is_prime
-
+def _choose_modulus(order: int, exponent: int) -> int:
     floor = 2 * isqrt(order - 1) + 2 if order > 1 else 2
     l = exponent + 1
-    while l <= bound:
+    while l <= DEFAULT_MODULUS_BOUND:
         if l > floor and (exponent == 1 or l % exponent == 1) and is_prime(l):
             return l
         l += exponent
     raise CharacterTableError(
-        f"no working prime modulus = 1 (mod {exponent}) below {bound}"
+        f"no working prime modulus = 1 (mod {exponent}) below {DEFAULT_MODULUS_BOUND}"
     )
 
 
-def character_table_small(
-    group: FiniteGroup, *, modulus_bound: int = DEFAULT_MODULUS_BOUND
-) -> list[ClassFunction]:
+def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     """Complete list of irreducible characters with exact cyclotomic values.
 
     Characters are ordered by degree, then lexicographically by their value
@@ -190,7 +186,7 @@ def character_table_small(
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
     n = group.order
     exponent = group.exponent()
-    l = _choose_modulus(n, exponent, modulus_bound)
+    l = _choose_modulus(n, exponent)
 
     inv_of = [group.inv(i) for i in range(n)]
     class_of = part.class_of

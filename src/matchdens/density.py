@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import is_prime, next_prime, sieve_primes  # noqa: F401  (next_prime is part of this module's surface)
+from .primes import is_prime, sieve_primes
 
 DEFAULT_PLANNER_PRIME_BOUND = 1 << 22
 _PRIME_BOUND_ENV = "MATCHDENS_PLANNER_PRIME_BOUND"

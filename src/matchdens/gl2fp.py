@@ -26,7 +26,6 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import prod
 
-from .cyclotomic import CycValue
 from .primes import is_prime, legendre, sqrt_mod
 
 CENTRAL = "central"
@@ -361,16 +360,3 @@ def product_character(factors: Sequence[Gl2ClassFunction]) -> ProductClassFuncti
     if result.zero_fraction() != expected:
         raise AssertionError("class-wise zero fraction violates inclusion-exclusion")
     return result
-
-
-def steinberg_class_function(group, p: int):
-    """The p-dimensional character as a groupcore ClassFunction on an explicit
-    GL2(F_p) group (element handles must be 4-tuples of residues)."""
-    from .groupcore import ClassFunction
-
-    def value(handle):
-        return CycValue.from_rational(
-            steinberg_value_of_matrix(GL2Element(p, *handle))
-        )
-
-    return ClassFunction.from_handle_function(group, value, name=f"steinberg:{p}")

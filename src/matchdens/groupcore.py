@@ -2,9 +2,12 @@
 
 Groups are finite sets of hashable element handles with a multiplication
 callable; every element also gets a stable integer index (its position in the
-element list), and all heavy computations run on indices.  Conjugacy classes,
-class functions with exact cyclotomic values, direct and fiber products,
-quotient maps, and the exact matching / zero fractions live here.
+element list), and all heavy computations run on indices.  Conjugacy classes
+come from one label per element (ConjClassPartition.from_labels): a group's
+`class_labels` hook when it has one, otherwise the least index of each orbit
+under conjugation.  Class functions with exact cyclotomic values, direct and
+fiber products (tables assembled from the factors' tables), quotient maps, and
+the exact matching / zero fractions live here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .cyclotomic import CycValue, hermitian_sum
 
 TABLE_LIMIT = 4096  # dense multiplication table below this order
 FULL_ASSOCIATIVITY_LIMIT = 200  # exhaustive associativity check up to this order
+FULL_HOMOMORPHISM_LIMIT = 2048  # exhaustive homomorphism check up to this source order
+ORBIT_NO_GENERATORS_LIMIT = 20000  # orbit labelling without generators up to this order
 ORDER_LIMIT = 10**6
 
 
@@ -48,6 +53,23 @@ class ConjClassPartition:
     def __len__(self) -> int:
         return len(self.classes)
 
+    @classmethod
+    def from_labels(cls, labels) -> ConjClassPartition:
+        """Classes are the sets of elements sharing a label, ordered by their
+        least element index, members ascending."""
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        class_of = np.argsort(order)[inverse.ravel()]
+        sizes = np.bincount(class_of).tolist()
+        members = np.argsort(class_of, kind="stable").tolist()
+        ends = np.cumsum(sizes).tolist()
+        return cls(
+            classes=tuple(tuple(members[end - size:end]) for size, end in zip(sizes, ends)),
+            representatives=tuple(first[order].tolist()),
+            sizes=tuple(sizes),
+            class_of=tuple(class_of.tolist()),
+        )
+
 
 class FiniteGroup:
     """A finite group on explicit element handles.
@@ -55,6 +77,8 @@ class FiniteGroup:
     Handles must be hashable; `op` multiplies handles.  `generators` (handle
     list) enables scalable conjugacy computations; without it every element is
     treated as a generator, which is fine up to a few thousand elements.
+    `class_labels(group)`, when given, returns one label per element such that
+    two elements are conjugate exactly when their labels are equal.
     """
 
     def __init__(
@@ -65,7 +89,7 @@ class FiniteGroup:
         name: str = "",
         inverse: Callable | None = None,
         generators: Sequence[Hashable] | None = None,
-        conjugacy_override: Callable | None = None,
+        class_labels: Callable | None = None,
     ):
         self._elements = list(elements)
         self.order = len(self._elements)
@@ -85,7 +109,7 @@ class FiniteGroup:
         self._inverses: list[int] | None = None
         self._classes: ConjClassPartition | None = None
         self._validated = False
-        self._conjugacy_override = conjugacy_override
+        self._class_labels = class_labels
         if generators is None:
             self.generator_indices: tuple[int, ...] | None = None
         else:
@@ -232,14 +256,6 @@ class FiniteGroup:
                 raise InvalidGroupError(f"associativity fails at indices ({a},{b},{c})")
         self._validated = True
 
-    def is_abelian(self) -> bool:
-        gens = self.generator_indices or range(self.order)
-        for a in gens:
-            for b in gens:
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
-
     def center_indices(self) -> list[int]:
         gens = self.generator_indices or range(self.order)
         out = []
@@ -255,53 +271,53 @@ class FiniteGroup:
             return self._classes
         if self.order <= 64:
             self.validate()  # cheap here; reports broken tables as invalid-group
-        if self._conjugacy_override is not None:
-            part = self._conjugacy_override(self)
+        if self._class_labels is not None:
+            labels = np.asarray(self._class_labels(self))
         else:
-            part = self._conjugacy_by_orbits()
-        if sum(part.sizes) != self.order:
-            raise InvalidGroupError("conjugacy classes do not cover the group")
-        self._classes = part
-        return part
+            labels = self._orbit_labels()
+        if labels.shape != (self.order,):
+            raise InvalidGroupError(
+                f"class labels have shape {labels.shape}, expected ({self.order},)"
+            )
+        self._classes = ConjClassPartition.from_labels(labels)
+        return self._classes
 
-    def _conjugacy_by_orbits(self) -> ConjClassPartition:
+    def _conjugation(self, g: int) -> np.ndarray:
+        """The permutation x -> g x g^-1 of element indices."""
+        gi = self.inv(g)
+        if self._table is not None:
+            return self._table[self._table[g], gi]
+        return np.array([self.mul(self.mul(g, x), gi) for x in range(self.order)])
+
+    def _orbit_labels(self) -> np.ndarray:
+        """Least element index of every element's conjugacy class.
+
+        For each generator g, the larger of the labels of x and g x g^-1 is
+        pointed at the smaller; pointer jumping (least[least]) then moves every
+        element to its label's label.  A pass that changes nothing leaves each
+        orbit on its least index.  Without generators every element
+        conjugates, one row at a time: nothing of size order^2 but the table.
+        """
+        n = self.order
         if self.generator_indices is None:
-            if self.order > 20000:
+            if n > ORBIT_NO_GENERATORS_LIMIT:
                 raise OrderBoundExceededError(
                     "conjugacy of a large group needs an explicit generating set"
                 )
             self.ensure_table()
-            gens: Sequence[int] = range(self.order)
+            rows = None
         else:
-            gens = self.generator_indices
-        gen_invs = [self.inv(g) for g in gens]
-        seen = [False] * self.order
-        classes: list[tuple[int, ...]] = []
-        class_of = [0] * self.order
-        for start in range(self.order):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                x = frontier.pop()
-                for g, gi in zip(gens, gen_invs):
-                    y = self.mul(self.mul(g, x), gi)
-                    if y not in orbit:
-                        orbit.add(y)
-                        seen[y] = True
-                        frontier.append(y)
-            members = tuple(sorted(orbit))
-            for m in members:
-                class_of[m] = len(classes)
-            classes.append(members)
-        return ConjClassPartition(
-            classes=tuple(classes),
-            representatives=tuple(c[0] for c in classes),
-            sizes=tuple(len(c) for c in classes),
-            class_of=tuple(class_of),
-        )
+            rows = [self._conjugation(g) for g in self.generator_indices]
+        least = np.arange(n)
+        while True:
+            before = least.copy()
+            for row in map(self._conjugation, range(n)) if rows is None else rows:
+                ours, theirs = least, least[row]
+                np.minimum.at(least, np.maximum(ours, theirs), np.minimum(ours, theirs))
+            while not np.array_equal(jumped := least[least], least):
+                least = jumped
+            if np.array_equal(least, before):
+                return least
 
     def subgroup_closure(self, seed_indices: Sequence[int]) -> list[int]:
         """Indices of the subgroup generated by the given element indices."""
@@ -326,59 +342,83 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClassPartition:
 # -- products
 
 
+class _PairGroup(FiniteGroup):
+    """Pairs (x, y) of elements of two factor groups, multiplied componentwise.
+
+    Element k is the pair of factor indices divmod(pairs[k], |h|), with
+    `pairs` ascending, so elements run through g's index, then h's.  The
+    multiplication table is assembled from the factors' tables by index
+    arithmetic rather than from handle products.
+    """
+
+    def __init__(self, g: FiniteGroup, h: FiniteGroup, pairs: np.ndarray, **kwargs):
+        self.factors = (g, h)
+        self._pairs = pairs
+        g_op, h_op = g._op, h._op
+
+        def op(x, y):
+            return (g_op(x[0], y[0]), h_op(x[1], y[1]))
+
+        def inverse(x):
+            return (g.element(g.inv(g.index_of(x[0]))), h.element(h.inv(h.index_of(x[1]))))
+
+        g_els, h_els = g.elements, h.elements
+        i, j = np.divmod(pairs, h.order)
+        elements = [(g_els[a], h_els[b]) for a, b in zip(i.tolist(), j.tolist())]
+        super().__init__(elements, op, inverse=inverse, **kwargs)
+
+    def ensure_table(self) -> None:
+        """Row k of the table is position[G[i_k, i] * |h| + H[j_k, j]].
+
+        The product is at least as large as either factor, so when it fits
+        TABLE_LIMIT both factor tables do too.
+        """
+        if self._table is not None or self.order > TABLE_LIMIT:
+            return
+        g, h = self.factors
+        g.ensure_table()
+        h.ensure_table()
+        n, nh = self.order, h.order
+        position = np.full(g.order * nh, -1, dtype=np.int32)
+        position[self._pairs] = np.arange(n)
+        i, j = np.divmod(self._pairs, nh)
+        table = np.empty((n, n), dtype=np.int32)
+        for k in range(n):  # row by row: no order^2 temporaries
+            table[k] = position[g._table[i[k], i] * nh + h._table[j[k], j]]
+        if table.min() < 0:
+            raise InvalidGroupError("a product of pairs falls outside the element set")
+        self._table = table
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteGroup:
     """Componentwise product group on pair handles.
 
     Conjugacy classes of a direct product are exactly the pairs of factor
-    classes, so they are composed rather than recomputed by orbit search.
+    classes, so each element is labelled by its pair of factor classes rather
+    than by orbit search.
     """
     if g.order * h.order > ORDER_LIMIT:
         raise OrderBoundExceededError(
             f"product order {g.order * h.order} exceeds bound {ORDER_LIMIT}"
         )
-    g_els, h_els = g.elements, h.elements
-    elements = [(a, b) for a in g_els for b in h_els]
-    g_op, h_op = g._op, h._op
-
-    def op(x, y):
-        return (g_op(x[0], y[0]), h_op(x[1], y[1]))
-
-    def inverse(x):
-        return (g.element(g.inv(g.index_of(x[0]))), h.element(h.inv(h.index_of(x[1]))))
-
     e_g, e_h = g.element(g.identity), h.element(h.identity)
     gens = None
     if g.generator_indices is not None and h.generator_indices is not None:
         gens = [(g.element(i), e_h) for i in g.generator_indices]
         gens += [(e_g, h.element(j)) for j in h.generator_indices]
 
-    def paired_classes(product: FiniteGroup) -> ConjClassPartition:
-        pg, ph = g.conjugacy_classes(), h.conjugacy_classes()
-        nh = h.order
-        raw = []
-        for cg in pg.classes:
-            for ch in ph.classes:
-                members = tuple(sorted(a * nh + b for a in cg for b in ch))
-                raw.append(members)
-        raw.sort(key=lambda members: members[0])
-        class_of = [0] * product.order
-        for ci, members in enumerate(raw):
-            for m in members:
-                class_of[m] = ci
-        return ConjClassPartition(
-            classes=tuple(raw),
-            representatives=tuple(c[0] for c in raw),
-            sizes=tuple(len(c) for c in raw),
-            class_of=tuple(class_of),
-        )
+    def paired_labels(product: FiniteGroup) -> np.ndarray:
+        class_of_g = np.asarray(g.conjugacy_classes().class_of)
+        part_h = h.conjugacy_classes()
+        return np.add.outer(class_of_g * len(part_h), part_h.class_of).ravel()
 
-    return FiniteGroup(
-        elements,
-        op,
+    return _PairGroup(
+        g,
+        h,
+        np.arange(g.order * h.order),
         name=name or f"({g.name or 'G'} x {h.name or 'H'})",
-        inverse=inverse,
         generators=gens,
-        conjugacy_override=paired_classes,
+        class_labels=paired_labels,
     )
 
 
@@ -395,12 +435,12 @@ class QuotientMap:
             raise InvalidGroupError("mapping must cover every source element")
         self.check()
 
-    def check(self, sample_limit: int = 2048) -> None:
+    def check(self) -> None:
         """Verify surjectivity and the homomorphism law (exhaustively when small)."""
         if len(set(self.mapping)) != self.target.order:
             raise InvalidGroupError("map is not surjective")
         n = self.source.order
-        if n <= sample_limit:
+        if n <= FULL_HOMOMORPHISM_LIMIT:
             pairs = ((i, j) for i in range(n) for j in range(n))
         else:
             rng = np.random.default_rng(0)
@@ -493,31 +533,16 @@ def fiber_product(
     expected = g.order * h.order // qg.target.order
     if expected > ORDER_LIMIT:
         raise OrderBoundExceededError("fiber product exceeds the order bound")
-    elements = [
-        (g.element(i), h.element(j))
-        for i in range(g.order)
-        for j in range(h.order)
-        if qg.mapping[i] == qh.mapping[j]
-    ]
-    g_op, h_op = g._op, h._op
-
-    def op(x, y):
-        return (g_op(x[0], y[0]), h_op(x[1], y[1]))
-
-    def inverse(x):
-        return (g.element(g.inv(g.index_of(x[0]))), h.element(h.inv(h.index_of(x[1]))))
-
-    fp = FiniteGroup(
-        elements,
-        op,
-        name=name or f"({g.name or 'G'} x_T {h.name or 'H'})",
-        inverse=inverse,
-    )
-    if fp.order != expected:
+    # h's indices grouped by image, ascending within each group
+    image_h = np.asarray(qh.mapping)
+    counts = np.bincount(image_h, minlength=qh.target.order)
+    over = np.split(np.argsort(image_h, kind="stable"), np.cumsum(counts)[:-1])
+    pairs = np.concatenate([i * h.order + over[t] for i, t in enumerate(qg.mapping)])
+    if len(pairs) != expected:
         raise InvalidGroupError(
-            f"fiber product order {fp.order} != |g||h|/|target| = {expected}"
+            f"fiber product order {len(pairs)} != |g||h|/|target| = {expected}"
         )
-    return fp
+    return _PairGroup(g, h, pairs, name=name or f"({g.name or 'G'} x_T {h.name or 'H'})")
 
 
 # -- class functions
@@ -541,9 +566,6 @@ class ClassFunction:
         """Build from any function of element handles that is constant on classes."""
         part = group.conjugacy_classes()
         return cls(group, [fn(group.element(r)) for r in part.representatives], name=name)
-
-    def value_on_class(self, class_index: int) -> CycValue:
-        return self.values[class_index]
 
     def value_at(self, element_index: int) -> CycValue:
         return self.values[self.group.conjugacy_classes().class_of[element_index]]

@@ -1,10 +1,9 @@
 """Reproduction presets for the headline exact densities.
 
 These wire the low-level modules together: the tetrahedral fiber-product
-configuration (matching density 17/32), the twisted central-extension family
-(matching density 1 - 1/(2k^2) from a base zero-trace density 1 - 1/k^2), and
-the GL2 report for one prime (class-type fractions plus the p-dimensional
-character's zero fraction and norm).
+configuration (matching density 17/32) and the GL2 report for one prime
+(class-type fractions plus the p-dimensional character's zero fraction and
+norm).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from fractions import Fraction
 
 from . import catalog, gl2fp, groupcore
 from .chartable import character_table_small, integer_valued_two_dimensional
-from .density import twist_density
 
 
 def tetrahedral_matching_density() -> tuple[Fraction, dict]:
@@ -35,20 +33,6 @@ def tetrahedral_matching_density() -> tuple[Fraction, dict]:
         "character_degree": 2,
     }
     return value, details
-
-
-def serre_twist_density(k: int) -> dict:
-    """The order-2 twist of a k-dimensional representation with zero-trace
-    density 1 - 1/k^2: matching density 1 - 1/(2 k^2)."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    base = 1 - Fraction(1, k * k)
-    return {
-        "k": k,
-        "base_zero_trace_density": base,
-        "twist_order": 2,
-        "matching_density": twist_density(base, 2),
-    }
 
 
 def steinberg_report(p: int) -> dict:

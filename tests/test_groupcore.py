@@ -1,6 +1,8 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from matchdens.groupcore import (
     FiniteGroup,
     GroupMismatchError,
     InvalidGroupError,
+    OrderBoundExceededError,
     abelianization,
     commutator_subgroup,
     direct_product,
@@ -54,6 +57,14 @@ def test_named_groups_validate(name, order, classes):
     g.validate()
     assert g.order == order
     assert len(g.conjugacy_classes()) == classes
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic:1", "cyclic:6", "q8", "s3", "d4", "sl2f3", "heisenberg:3", "gl2fp:2", "gl2fp:3", "gl2fp:5"]
+)
+def test_catalog_generators_generate_the_group(name):
+    g = _group(name)
+    assert len(g.subgroup_closure(g.generator_indices)) == g.order
 
 
 def test_sl2f3_class_sizes():
@@ -106,6 +117,105 @@ def test_product_classes_match_generic_orbit_search():
     prod = direct_product(c6, s3)
     generic = FiniteGroup(prod.elements, prod._op, inverse=None)
     assert prod.conjugacy_classes().classes == generic.conjugacy_classes().classes
+
+
+def _fresh_group(name):
+    """A newly built group, so no table or classes are cached on it yet."""
+    if name.startswith(("sl2/", "fiber/")):
+        sl2 = catalog.sl2f3_group()
+        target = name.split("/")[1]
+        if target == "c3":
+            q = abelianization(sl2)
+        elif target == "a4":
+            q = quotient_by(sl2, sl2.center_indices())
+        else:
+            q = quotient_by(sl2, range(sl2.order))
+        return q.target if name.startswith("sl2/") else fiber_product(sl2, sl2, q, q)
+    if " x " in name:
+        left, right = name.split(" x ")
+        return direct_product(catalog.named_group(left), catalog.named_group(right))
+    return catalog.named_group(name)
+
+
+def _handle_table(group):
+    """The multiplication table built from handle products alone."""
+    els, op = group.elements, group._op
+    index = {e: k for k, e in enumerate(els)}
+    return np.array([[index[op(a, b)] for b in els] for a in els])
+
+
+def _brute_force_classes(group, table):
+    """Least index of each class {g x g^-1}, and the classes ordered by it."""
+    inverse = [row.tolist().index(group.identity) for row in table]
+    least = np.arange(group.order)
+    for g in range(group.order):
+        least = np.minimum(least, table[table[g], inverse[g]])
+    classes: dict[int, list[int]] = {}
+    for x, label in enumerate(least.tolist()):
+        classes.setdefault(label, []).append(x)
+    return least.tolist(), tuple(tuple(classes[label]) for label in sorted(classes))
+
+
+_PRODUCTS = ("fiber/c3", "fiber/a4", "fiber/triv", "cyclic:6 x s3", "q8 x d4")
+_ORBIT_GROUPS = (
+    "trivial", "cyclic:1", "cyclic:7", "cyclic:12", "q8", "s3", "d4", "sl2f3",
+    "heisenberg:3", "gl2fp:2", "gl2fp:3", "gl2fp:5", "sl2/c3", "sl2/a4", "sl2/triv",
+    *_PRODUCTS,
+)
+
+
+@pytest.mark.parametrize("name", _ORBIT_GROUPS)
+def test_orbit_labels_match_brute_force(name):
+    group = _fresh_group(name)
+    least, classes = _brute_force_classes(group, _handle_table(group))
+    assert group._orbit_labels().tolist() == least  # by products, or on a table
+    group.ensure_table()
+    assert group._orbit_labels().tolist() == least  # on the table
+    part = group.conjugacy_classes()  # through the group's class_labels hook, if any
+    assert part.classes == classes
+    assert part.representatives == tuple(c[0] for c in classes)
+    assert part.sizes == tuple(len(c) for c in classes)
+    position = {c[0]: k for k, c in enumerate(classes)}
+    assert part.class_of == tuple(position[label] for label in least)
+
+
+@pytest.mark.parametrize("name", _PRODUCTS)
+def test_pair_table_matches_handle_products(name):
+    group = _fresh_group(name)
+    group.ensure_table()
+    assert np.array_equal(group._table, _handle_table(group))
+
+
+def test_class_labels_of_wrong_length_refused():
+    c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, class_labels=lambda g: [0, 1, 2])
+    with pytest.raises(InvalidGroupError, match="class labels"):
+        c4.conjugacy_classes()
+    flat = FiniteGroup(range(4), lambda a, b: (a + b) % 4, class_labels=lambda g: [[0, 1], [2, 3]])
+    with pytest.raises(InvalidGroupError, match="class labels"):
+        flat.conjugacy_classes()
+
+
+def test_orbit_labels_refuse_large_group_without_generators():
+    n = groupcore.ORBIT_NO_GENERATORS_LIMIT + 1
+    big = FiniteGroup(range(n), lambda a, b: (a + b) % n)
+    with pytest.raises(OrderBoundExceededError, match="generating set"):
+        big.conjugacy_classes()
+
+
+def test_orbit_labels_hold_no_square_temporaries():
+    c32 = catalog.cyclic_group(32)
+    q = quotient_by(c32, range(32))
+    group = fiber_product(c32, c32, q, q)  # order 1024, no generators
+    tracemalloc.start()
+    try:
+        part = group.conjugacy_classes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = group.order
+    assert len(part) == n
+    # the int32 table is 4 n^2 bytes; even one n x n bool temporary adds n^2
+    assert peak < group._table.nbytes + n * n * 3 // 4
 
 
 def test_quotients_and_fiber_products():
@@ -196,6 +306,7 @@ def test_matching_fraction_properties(vals_x, vals_y):
         ("heisenberg:3", True),
         ("s3", False),
         ("sl2f3", False),
+        ("gl2fp:2", False),
         ("gl2fp:3", False),
     ],
 )
