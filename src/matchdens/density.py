@@ -25,6 +25,8 @@ from .primes import is_prime, sieve_primes
 
 DEFAULT_PLANNER_PRIME_BOUND = 1 << 22
 _PRIME_BOUND_ENV = "MATCHDENS_PLANNER_PRIME_BOUND"
+# prime_window sieves up to its first prime to index it: 10 MB of mask at the bound
+MAX_WINDOW_START = 10**7
 
 MODE_ZERO = "zero-density"
 MODE_MATCHING = "matching-density"
@@ -71,11 +73,16 @@ def prime_window(primes, *, allow_small: bool = False) -> PrimeWindow:
     """Validated window from an explicit prime list.
 
     allow_small lifts the every-prime-greater-than-7 requirement; that is only
-    for oracle cross-checks against the explicit small GL2 groups.
+    for oracle cross-checks against the explicit small GL2 groups.  Refuses a
+    first prime above MAX_WINDOW_START with ValueError before any sieve.
     """
     ps = tuple(int(p) for p in primes)
     if not ps:
         raise ValueError("window must contain at least one prime")
+    if ps[0] > MAX_WINDOW_START:
+        raise ValueError(
+            f"window start {ps[0]} exceeds {MAX_WINDOW_START}: indexing it sieves up to it"
+        )
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -181,6 +188,11 @@ def _same_value(num: int, den: int, other_num: int, other_den: int) -> bool:
     if num == other_num and den == other_den:
         return True
     return num * other_den == other_num * den
+
+
+def _twisted(num: int, den: int, d: int) -> tuple[int, int]:
+    # unreduced w + (1 - w)/d for w = num/den: the order-d twist
+    return num * (d - 1) + den, den * d
 
 
 def _le(num: int, den: int, bound: Fraction) -> bool:
@@ -378,8 +390,7 @@ def approximate_matching_density(
     # base density w is in [c - eps, c]; lift the remainder with the twist
     one_minus_num = den - num
     d = max(2, -((-one_minus_num * half.denominator) // (half.numerator * den)))
-    t_num = num * (d - 1) + den
-    t_den = den * d
+    t_num, t_den = _twisted(num, den, d)
     if not _within(t_num, t_den, c, eps):
         raise AssertionError("twist adjustment escaped the certified band")
     return ApproxPlan(
@@ -442,12 +453,7 @@ def verify_plan(plan: ApproxPlan) -> bool:
             return False
         return _within(plan.predicted_num, plan.predicted_den, plan.target, plan.epsilon)
     num, den = _pair_product(plan.window.primes, 0, len(plan.window.primes) - 1)
-    if plan.mode == MODE_MATCHING:
-        d = plan.twist_order
-        num, den = num * (d - 1) + den, den * d
-    if not _same_value(num, den, plan.predicted_num, plan.predicted_den):
-        return False
-    return _within(num, den, plan.target, plan.epsilon)
+    return _window_fault(plan, num, den) is None
 
 
 def verify_plans(plans: list[ApproxPlan]) -> int:
@@ -463,15 +469,9 @@ def verify_plans(plans: list[ApproxPlan]) -> int:
         w = plan.window.primes
         num, den = _window_product(w, verified)
         verified.append((w, num, den))
-        if plan.mode == MODE_MATCHING:
-            d = plan.twist_order
-            pn, pd = num * (d - 1) + den, den * d
-        else:
-            pn, pd = num, den
-        if not _same_value(pn, pd, plan.predicted_num, plan.predicted_den):
-            raise AssertionError("plan's stored prediction disagrees with its window")
-        if not _within(pn, pd, plan.target, plan.epsilon):
-            raise AssertionError("plan fails its band under independent evaluation")
+        fault = _window_fault(plan, num, den)
+        if fault is not None:
+            raise AssertionError(fault)
         count += 1
     for plan in plans:
         if plan.window is None:
@@ -479,6 +479,18 @@ def verify_plans(plans: list[ApproxPlan]) -> int:
                 raise AssertionError("preset plan fails verification")
             count += 1
     return count
+
+
+def _window_fault(plan: ApproxPlan, num: int, den: int) -> str | None:
+    """Why a window plan fails, given (prod (p-1), prod p) over its window
+    recomputed independently; None when its prediction and band hold."""
+    if plan.mode == MODE_MATCHING:
+        num, den = _twisted(num, den, plan.twist_order)
+    if not _same_value(num, den, plan.predicted_num, plan.predicted_den):
+        return "plan's stored prediction disagrees with its window"
+    if not _within(num, den, plan.target, plan.epsilon):
+        return "plan fails its band under independent evaluation"
+    return None
 
 
 def _window_product(w: tuple[int, ...], verified) -> tuple[int, int]:

@@ -273,17 +273,22 @@ def matching_prime_series(
     """Indicator of chi1(q) = chi2(q) over primes q coprime to both moduli."""
     L = lcm(x.modulus, y.modulus)
     table = _match_table(x, y, L)
+    primes = _primes_coprime_to(L, x_max)
+    return PrimeIndicatorSeries(x_max=x_max, primes=primes, marked=table[primes % L])
+
+
+def _primes_coprime_to(L: int, x_max: int) -> np.ndarray:
+    """Primes q <= x_max with gcd(q, L) = 1, by one lookup in the units mask mod L."""
+    unit = np.zeros(L, dtype=bool)
+    unit[list(unit_group(L).dlog)] = True
     primes = sieve_primes(x_max)
-    keep = np.array([gcd(int(q) % L, L) == 1 for q in primes], dtype=bool) if L > 1 else np.ones(len(primes), bool)
-    primes = primes[keep]
-    marked = table[primes % L] if L > 1 else np.ones(len(primes), bool)
-    return PrimeIndicatorSeries(x_max=x_max, primes=primes, marked=marked)
+    return primes[unit[primes % L]]
 
 
 def _match_table(x: DirichletChar, y: DirichletChar, L: int) -> np.ndarray:
     ex, ey = x.order, y.order
     E = lcm(ex, ey)
-    table = np.zeros(max(L, 1), dtype=bool)
+    table = np.zeros(L, dtype=bool)
     for a in unit_group(L).dlog:
         vx = x.value_exponent(a % x.modulus)
         vy = y.value_exponent(a % y.modulus)
@@ -298,15 +303,13 @@ def difference_weight_series(
     L = lcm(x.modulus, y.modulus)
     ex, ey = x.order, y.order
     E = lcm(ex, ey)
-    wtable = np.zeros(max(L, 1), dtype=np.float64)
+    wtable = np.zeros(L, dtype=np.float64)
     for a in unit_group(L).dlog:
         vx = x.value_exponent(a % x.modulus) * (E // ex) % E
         vy = y.value_exponent(a % y.modulus) * (E // ey) % E
         wtable[a] = _root_distance_sq((vx - vy) % E, E)
-    primes = sieve_primes(x_max)
-    keep = np.array([gcd(int(q) % L, L) == 1 for q in primes], dtype=bool) if L > 1 else np.ones(len(primes), bool)
-    primes = primes[keep]
-    weights = wtable[primes % L] if L > 1 else np.zeros(len(primes))
+    primes = _primes_coprime_to(L, x_max)
+    weights = wtable[primes % L]
     return PrimeIndicatorSeries(
         x_max=x_max, primes=primes, marked=weights > 0, weights=weights
     )

@@ -28,7 +28,7 @@ from math import sqrt
 
 import numpy as np
 
-from .gl2fp import NONSPLIT, SPLIT
+from .gl2fp import CENTRAL, NONSEMISIMPLE, NONSPLIT, SPLIT, class_type_fractions
 from .primes import factorize, legendre, sieve_primes, sqrt_mod
 
 AMBIGUOUS = "ambiguous"
@@ -247,12 +247,20 @@ def chebotarev_histogram(
 
     Empirical fractions are reported against the exact expectations
     (p-2)/(2(p-1)) for split, p/(2(p+1)) for non-split, and p/(p^2-1) for
-    ambiguous, each with the binomial standard error at the expected rate.
-    With resolve_scalar, ambiguous samples additionally get the probabilistic
-    scalar test (seeded, so reruns match).  Refuses q_max >= MAX_Q with
+    ambiguous, each with the binomial standard error at the expected rate;
+    they are read from gl2fp.class_type_fractions.  With resolve_scalar,
+    ambiguous samples additionally get the probabilistic scalar test (seeded,
+    so reruns match).  Refuses q_max >= MAX_Q, and a composite p, with
     ValueError before sieving.
     """
     _require_q_bound(q_max, "q_max")
+    fractions = class_type_fractions(p)  # refuses a composite p
+    expectations = {
+        SPLIT: fractions[SPLIT],
+        NONSPLIT: fractions[NONSPLIT],
+        # central and non-semisimple classes both have discriminant zero
+        AMBIGUOUS: fractions[CENTRAL] + fractions[NONSEMISIMPLE],
+    }
     if p <= 7:
         warnings.warn(
             f"p = {p} <= 7: the mod-p image of a semistable curve need not be "
@@ -286,11 +294,6 @@ def chebotarev_histogram(
 
     hist = ChebotarevHistogram(curve=curve, p=p, q_max=q_max, samples=samples)
     n = len(samples)
-    expectations = {
-        SPLIT: Fraction(p - 2, 2 * (p - 1)),
-        NONSPLIT: Fraction(p, 2 * (p + 1)),
-        AMBIGUOUS: Fraction(p, p * p - 1),
-    }
     counts = {key: 0 for key in expectations}
     for s in samples:
         base = s.class_type if s.class_type in counts else AMBIGUOUS

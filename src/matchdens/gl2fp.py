@@ -3,17 +3,19 @@
 Every invertible 2x2 matrix mod p falls into one of four conjugacy *types*
 (central, non-semisimple, split regular, non-split regular) determined by its
 characteristic polynomial; within a type, the class is pinned down by the
-eigenvalue data.  The p-dimensional character that vanishes exactly on the
-non-semisimple classes (value p / 0 / 1 / -1 on the four types) is the source
-of the dense family of exact densities, so its class data carries exact
-integer values and exact class sizes.
+eigenvalue data.  `class_type_counts` gives, for each type, the number of its
+classes and their common size in closed form, and the class-type fractions
+and every value distribution are read from it.
 
-Class data lists the p^2 - 1 classes of GL2(F_p) and is bounded at
-p <= CLASS_DATA_MAX_P.  A product over distinct primes p_1..p_k is kept as
-its factors plus its value distribution (value -> total class size), the
-convolution of the factors' distributions: at most 2^(k+1) + 1 values for
-Steinberg factors.  Its prod_j (p_j^2 - 1) class rows are never stored; each
-is computed on demand from one row of every factor.
+A class function that is constant on each type, such as the p-dimensional
+character that vanishes exactly on the non-semisimple classes (value
+p / 0 / 1 / -1 on the four types), is stored as its four integer type values.
+Its p^2 - 1 class rows are listed only when `entries` is read; that listing
+is bounded at p <= CLASS_DATA_MAX_P.  A product over distinct primes
+p_1..p_k is kept as its factors plus its value distribution (value -> total
+class size), the convolution of the factors' distributions: at most
+2^(k+1) + 1 values for Steinberg factors.  Its prod_j (p_j^2 - 1) class rows
+are never stored; each is computed on demand from one row of every factor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import prod
 
@@ -32,6 +34,7 @@ CENTRAL = "central"
 NONSEMISIMPLE = "nonsemisimple"
 SPLIT = "split"
 NONSPLIT = "nonsplit"
+CLASS_TYPES = (CENTRAL, NONSEMISIMPLE, SPLIT, NONSPLIT)
 
 ENUMERATION_MAX_P = 31
 # class_inventory lists p^2 - 1 classes; 499 is the largest prime that keeps
@@ -119,25 +122,44 @@ def gl2_order(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
-def class_inventory(p: int) -> list[tuple[ClassType, int]]:
-    """Every conjugacy class of GL2(F_p) with its exact size: p^2 - 1 rows.
+def class_type_counts(p: int) -> dict[str, tuple[int, int]]:
+    """(number of classes, size of each class) for every class type of GL2(F_p).
 
-    Refuses p above CLASS_DATA_MAX_P with ValueError before building any row.
+    Keys in CLASS_TYPES order.  GL2(F_2) has no split class.
     """
+    _require_prime(p)
+    return {
+        CENTRAL: (p - 1, 1),
+        NONSEMISIMPLE: (p - 1, p * p - 1),
+        SPLIT: ((p - 1) * (p - 2) // 2, p * p + p),
+        NONSPLIT: (p * (p - 1) // 2, p * p - p),
+    }
+
+
+def _require_class_data(p: int) -> None:
     _require_prime(p)
     if p > CLASS_DATA_MAX_P:
         raise ValueError(
             f"GL2 class data is bounded at p <= {CLASS_DATA_MAX_P} "
             f"({CLASS_DATA_MAX_P ** 2 - 1} classes); p = {p} has {p * p - 1}"
         )
+
+
+def class_inventory(p: int) -> list[tuple[ClassType, int]]:
+    """Every conjugacy class of GL2(F_p) with its exact size: p^2 - 1 rows.
+
+    Refuses p above CLASS_DATA_MAX_P with ValueError before building any row.
+    """
+    _require_class_data(p)
+    size = {kind: s for kind, (_, s) in class_type_counts(p).items()}
     out: list[tuple[ClassType, int]] = []
     for lam in range(1, p):
-        out.append((ClassType(CENTRAL, (lam,)), 1))
+        out.append((ClassType(CENTRAL, (lam,)), size[CENTRAL]))
     for lam in range(1, p):
-        out.append((ClassType(NONSEMISIMPLE, (lam,)), p * p - 1))
+        out.append((ClassType(NONSEMISIMPLE, (lam,)), size[NONSEMISIMPLE]))
     for lam in range(1, p):
         for mu in range(lam + 1, p):
-            out.append((ClassType(SPLIT, (lam, mu)), p * p + p))
+            out.append((ClassType(SPLIT, (lam, mu)), size[SPLIT]))
     for t in range(p):
         for d in range(1, p):
             if p == 2:
@@ -145,7 +167,7 @@ def class_inventory(p: int) -> list[tuple[ClassType, int]]:
             else:
                 irreducible = legendre(t * t - 4 * d, p) == -1
             if irreducible:
-                out.append((ClassType(NONSPLIT, (t, d)), p * p - p))
+                out.append((ClassType(NONSPLIT, (t, d)), size[NONSPLIT]))
     total = sum(size for _, size in out)
     if total != gl2_order(p):
         raise AssertionError(f"class inventory of GL2(F_{p}) misses elements")
@@ -154,33 +176,19 @@ def class_inventory(p: int) -> list[tuple[ClassType, int]]:
 
 def class_type_fractions(p: int) -> dict[str, Fraction]:
     """Exact fraction of GL2(F_p) in each class type; the four sum to one."""
-    _require_prime(p)
+    order = gl2_order(p)
     fractions = {
-        CENTRAL: Fraction(1, p * (p * p - 1)),
-        NONSEMISIMPLE: Fraction(1, p),
-        SPLIT: Fraction(p - 2, 2 * (p - 1)),
-        NONSPLIT: Fraction(p, 2 * (p + 1)),
+        kind: Fraction(count * size, order)
+        for kind, (count, size) in class_type_counts(p).items()
     }
     if sum(fractions.values()) != 1:
         raise AssertionError("class type fractions must sum to 1")
     return fractions
 
 
-def steinberg_value(p: int, ct: ClassType) -> int:
-    """Value of the p-dimensional character on a class of the given type."""
-    if ct.kind == CENTRAL:
-        return p
-    if ct.kind == NONSEMISIMPLE:
-        return 0
-    if ct.kind == SPLIT:
-        return 1
-    if ct.kind == NONSPLIT:
-        return -1
-    raise ValueError(f"unknown class type {ct.kind!r}")
-
-
 def steinberg_value_of_matrix(m: GL2Element) -> int:
-    return steinberg_value(m.p, classify(m))
+    """Value of the p-dimensional character on one matrix, for every prime p."""
+    return _steinberg(m.p).value_of(m)
 
 
 def fixed_projective_points(m: GL2Element) -> int:
@@ -215,42 +223,74 @@ def enumerate_gl2(p: int) -> Iterator[GL2Element]:
 
 @dataclass(frozen=True)
 class Gl2ClassFunction:
-    """A class function on GL2(F_p) stored as (class type, size, integer value) rows."""
+    """A class function on GL2(F_p) that is constant on each class type.
+
+    `values` holds its integer values on the central, non-semisimple, split
+    and non-split classes, in CLASS_TYPES order.
+    """
 
     p: int
-    entries: tuple[tuple[ClassType, int, int], ...]
+    values: tuple[int, int, int, int]
+
+    def __post_init__(self):
+        if len(self.values) != len(CLASS_TYPES):
+            raise ValueError(f"need one value per class type {CLASS_TYPES}")
 
     @property
     def group_order(self) -> int:
         return gl2_order(self.p)
 
+    @property
+    def class_count(self) -> int:
+        return sum(count for count, _ in class_type_counts(self.p).values())
+
+    @property
+    def distribution(self) -> tuple[tuple[int, int], ...]:
+        """(value, total size of the classes taking it) pairs sorted by value.
+
+        A type with no classes contributes nothing.
+        """
+        dist: dict[int, int] = {}
+        for value, (count, size) in zip(self.values, class_type_counts(self.p).values()):
+            if count:
+                dist[value] = dist.get(value, 0) + count * size
+        return tuple(sorted(dist.items()))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[ClassType, int, int], ...]:
+        """(class, size, integer value) rows in class_inventory order, listed on
+        first read; refused past CLASS_DATA_MAX_P."""
+        value = dict(zip(CLASS_TYPES, self.values))
+        return tuple((ct, size, value[ct.kind]) for ct, size in class_inventory(self.p))
+
     def zero_fraction(self) -> Fraction:
-        zero = sum(size for _, size, v in self.entries if v == 0)
+        zero = sum(size for v, size in self.distribution if v == 0)
         return Fraction(zero, self.group_order)
 
     def nonzero_fraction(self) -> Fraction:
         return 1 - self.zero_fraction()
 
     def norm(self) -> Fraction:
-        total = sum(size * v * v for _, size, v in self.entries)
+        total = sum(size * v * v for v, size in self.distribution)
         return Fraction(total, self.group_order)
 
     def value_of(self, m: GL2Element) -> int:
         if m.p != self.p:
             raise ValueError("matrix lives over a different prime field")
-        ct = classify(m)
-        for t, _, v in self.entries:
-            if t == ct:
-                return v
-        raise LookupError(f"class {ct} missing from table")
+        return self.values[CLASS_TYPES.index(classify(m).kind)]
+
+
+def _steinberg(p: int) -> Gl2ClassFunction:
+    return Gl2ClassFunction(p=p, values=(p, 0, 1, -1))
 
 
 def steinberg_character_data(p: int) -> Gl2ClassFunction:
-    """The p-dimensional character as exact class data."""
-    entries = tuple(
-        (ct, size, steinberg_value(p, ct)) for ct, size in class_inventory(p)
-    )
-    return Gl2ClassFunction(p=p, entries=entries)
+    """The p-dimensional character as exact class data.
+
+    Refuses p above CLASS_DATA_MAX_P with ValueError, as class_inventory does.
+    """
+    _require_class_data(p)
+    return _steinberg(p)
 
 
 class ProductRows(Sequence):
@@ -268,7 +308,7 @@ class ProductRows(Sequence):
         self._factors = factors
 
     def __len__(self) -> int:
-        return prod(len(f.entries) for f in self._factors)
+        return prod(f.class_count for f in self._factors)
 
     def __getitem__(self, index) -> tuple[int, int]:
         index = operator.index(index)
@@ -345,12 +385,9 @@ def product_character(factors: Sequence[Gl2ClassFunction]) -> ProductClassFuncti
         )
     dist = {1: 1}
     for f in factors:
-        fdist: dict[int, int] = {}
-        for _, size, value in f.entries:
-            fdist[value] = fdist.get(value, 0) + size
         out: dict[int, int] = {}
         for value, size in dist.items():
-            for fvalue, fsize in fdist.items():
+            for fvalue, fsize in f.distribution:
                 out[value * fvalue] = out.get(value * fvalue, 0) + size * fsize
         dist = out
     result = ProductClassFunction(factors=factors, distribution=tuple(sorted(dist.items())))

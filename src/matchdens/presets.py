@@ -41,7 +41,7 @@ def steinberg_report(p: int) -> dict:
     return {
         "p": p,
         "group_order": gl2fp.gl2_order(p),
-        "class_count": len(data.entries),
+        "class_count": data.class_count,
         "class_type_fractions": gl2fp.class_type_fractions(p),
         "steinberg_zero_fraction": data.zero_fraction(),
         "steinberg_nonzero_fraction": data.nonzero_fraction(),

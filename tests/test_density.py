@@ -35,6 +35,18 @@ def test_window_validation():
     assert w.start_index == 5 and w.m == 1
 
 
+def test_window_start_bounded_before_any_sieve(monkeypatch):
+    assert prime_window([9_999_991]).primes == (9_999_991,)  # largest prime below the bound
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit} before refusing")
+
+    monkeypatch.setattr(density, "sieve_primes", no_sieve)
+    for first in (next_prime(density.MAX_WINDOW_START), 1_000_000_007):
+        with pytest.raises(ValueError, match="exceeds"):
+            prime_window([first])
+
+
 def test_density_examples():
     assert nonzero_density(prime_window([11])) == Fraction(10, 11)
     assert zero_density(prime_window([11])) == Fraction(1, 11)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,25 @@ def test_weight_series_exact_values():
     assert set(np.unique(series.weights)) <= {0.0, 4.0}
     vs_principal = difference_weight_series(x, chars[0], 10**4)
     assert set(np.unique(vs_principal.weights)) <= {0.0, 2.0, 4.0}
+
+
+@pytest.mark.parametrize(
+    "chars", [((1, 0), (1, 0)), ((1, 0), (7, 1)), ((5, 1), (5, 3)), ((12, 1), (15, 2)), ((60, 3), (60, 5))]
+)
+def test_series_keep_exactly_the_primes_coprime_to_both_moduli(chars):
+    x, y = (dirichlet_character(*c) for c in chars)
+    L = math.lcm(x.modulus, y.modulus)
+    coprime = [int(q) for q in sieve_primes(20_000) if math.gcd(int(q), L) == 1]
+    E = math.lcm(x.order, y.order)
+
+    def aligned(chi, q):
+        return chi.value_exponent(q) * (E // chi.order) % E
+
+    match = matching_prime_series(x, y, 20_000)
+    weight = difference_weight_series(x, y, 20_000)
+    assert match.primes.tolist() == coprime == weight.primes.tolist()
+    assert match.marked.tolist() == [aligned(x, q) == aligned(y, q) for q in coprime]
+    assert weight.marked.tolist() == [aligned(x, q) != aligned(y, q) for q in coprime]
 
 
 def test_lower_density_diagnostic():

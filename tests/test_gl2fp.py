@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import catalog, gl2fp, groupcore, primes
+from matchdens import catalog, gl2fp, groupcore, presets, primes
 from matchdens.gl2fp import (
     CENTRAL,
+    CLASS_TYPES,
     NONSEMISIMPLE,
     NONSPLIT,
     SPLIT,
     GL2Element,
     class_inventory,
+    class_type_counts,
     class_type_fractions,
     classify,
     enumerate_gl2,
@@ -81,6 +83,61 @@ def test_type_cardinalities_closed_forms(p):
     assert by_kind[NONSEMISIMPLE] == (p - 1) * (p * p - 1)
     assert by_kind[SPLIT] == p * (p + 1) * (p - 1) * (p - 2) // 2
     assert by_kind[NONSPLIT] == p * p * (p - 1) ** 2 // 2
+
+
+@pytest.mark.parametrize("p", [*primes.primes_below(32), gl2fp.CLASS_DATA_MAX_P])
+def test_class_type_counts_match_inventory(p):
+    counts = class_type_counts(p)
+    assert tuple(counts) == CLASS_TYPES
+    sizes: dict = {kind: [] for kind in CLASS_TYPES}
+    for ct, size in class_inventory(p):
+        sizes[ct.kind].append(size)
+    for kind, (count, size) in counts.items():
+        assert len(sizes[kind]) == count
+        assert set(sizes[kind]) <= {size}
+    assert sum(count for count, _ in counts.values()) == p * p - 1
+    assert sum(count * size for count, size in counts.values()) == gl2_order(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
+def test_steinberg_distribution_tallies_entries(p):
+    data = steinberg_character_data(p)
+    tally: Counter = Counter()
+    for _, size, value in data.entries:
+        tally[value] += size
+    assert data.distribution == tuple(sorted(tally.items()))
+    assert data.class_count == len(data.entries)
+    value = {ct: v for ct, _, v in data.entries}
+    rng = random.Random(p)
+    for _ in range(30):
+        m = _random_element(p, rng)
+        assert data.value_of(m) == value[classify(m)] == steinberg_value_by_fixed_points(m)
+
+
+def _random_element(p, rng):
+    while True:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if (a * d - b * c) % p:
+            return GL2Element(p, a, b, c, d)
+
+
+def test_class_data_built_from_types_alone(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("built a class row")
+
+    monkeypatch.setattr(gl2fp, "class_inventory", no_rows)
+    monkeypatch.setattr(gl2fp, "ClassType", no_rows)
+    prod = product_character([steinberg_character_data(p) for p in (2, 3, 31)])
+    assert prod.distribution == (
+        (-93, 120), (-62, 540), (-31, 720), (-6, 864900), (-3, 1726080),
+        (-2, 12956760), (-1, 25924680), (0, 174182400), (1, 25913520),
+        (2, 12962340), (3, 1729800), (6, 863040), (31, 1080), (62, 360), (186, 60),
+    )
+    assert prod.zero_fraction() == Fraction(21, 31)
+    assert len(prod.entries) == 3 * 8 * 960
+    report = presets.steinberg_report(gl2fp.CLASS_DATA_MAX_P)
+    assert report["class_count"] == gl2fp.CLASS_DATA_MAX_P ** 2 - 1
+    assert report["norm_check"]
 
 
 def test_class_type_fractions_closed_forms():
@@ -203,6 +260,9 @@ def test_class_function_value_lookup():
     other = GL2Element(7, 1, 0, 0, 1)
     with pytest.raises(ValueError):
         st5.value_of(other)
+    # per-matrix values need no class data, so they hold past CLASS_DATA_MAX_P
+    for m in (GL2Element(503, 2, 0, 0, 2), GL2Element(503, 1, 1, 0, 1), GL2Element(503, 0, 502, 1, 0)):
+        assert steinberg_value_of_matrix(m) == steinberg_value_by_fixed_points(m)
 
 
 def test_enumeration_bound():
