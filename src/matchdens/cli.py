@@ -264,6 +264,11 @@ def _curve_payload(hist) -> dict:
         "p": hist.p,
         "q_max": hist.q_max,
         "sample_count": hist.total,
+        "counting": {
+            "bsgs_lanes": hist.bsgs_lanes,
+            "char_sum_lanes": hist.char_sum_lanes,
+            "char_sum_q": hist.char_sum_q,
+        },
         "stats": stats,
         "samples": [[s.q, s.a_q, s.class_type] for s in hist.samples],
     }

@@ -365,7 +365,7 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 count += min(m, r - k)
                 g = math.gcd(q, n)
                 k += m
@@ -374,7 +374,7 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
         if count >= max_iterations:

@@ -143,6 +143,10 @@ def test_ellstat_subcommand(capsys):
     result = report["result"]
     assert result["sample_count"] == len(result["samples"])
     assert result["stats"]["split"]["expected"] == {"num": "9", "den": "20"}
+    work = result["counting"]
+    assert work["bsgs_lanes"] + work["char_sum_lanes"] == result["sample_count"]
+    small = [q for q, _, _ in result["samples"] if q <= 229]
+    assert work["char_sum_lanes"] >= len(small) and work["char_sum_q"] >= sum(small)
 
 
 def test_ellstat_refuses_qmax_past_bound(capsys, monkeypatch):

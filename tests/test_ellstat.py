@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,160 @@ def test_point_counts_exact_at_the_bound():
         assert count_points(curve, largest) == count_points_reference(curve, largest)
     with pytest.raises(ValueError, match="MAX_Q"):
         count_points(CONDUCTOR_37_CURVE, MAX_Q)
+
+
+BSGS_PRIMES = [int(q) for q in sieve_primes(600) if q > ellstat.MESTRE_Q]
+
+
+@st.composite
+def curves_and_bsgs_primes(draw):
+    a = draw(st.integers(-60, 60))
+    b = draw(st.integers(-60, 60))
+    assume(4 * a**3 + 27 * b**2 != 0)
+    curve = Curve(a, b)
+    good = [q for q in BSGS_PRIMES if curve.has_good_reduction(q)]
+    qs = draw(st.lists(st.sampled_from(good), min_size=1, max_size=6))
+    return curve, qs
+
+
+@settings(max_examples=40, deadline=None)
+@given(curves_and_bsgs_primes())
+def test_bsgs_counts_match_naive_oracle(case):
+    curve, qs = case
+    assert point_counts(curve, qs) == [count_points_naive(curve, q) for q in qs]
+
+
+def next_prime_after(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.lists(st.integers(ellstat.MESTRE_Q, 5 * 10**4), min_size=1, max_size=40),
+)
+def test_bsgs_counts_match_character_sum(a, b, starts):
+    assume(4 * a**3 + 27 * b**2 != 0)
+    curve = Curve(a, b)
+    qs = [q for q in (next_prime_after(n) for n in starts) if curve.has_good_reduction(q)]
+    assert point_counts(curve, qs) == [count_points_reference(curve, q) for q in qs]
+
+
+def _good_primes(curve, lo, hi):
+    return [int(q) for q in sieve_primes(hi) if q > lo and curve.has_good_reduction(int(q))]
+
+
+@pytest.mark.parametrize(
+    "curve, q",
+    # b = 0 mod q: the least x0 with f(x0) != 0 is not 0 (for x^3 - x, not 0, 1, -1)
+    [(Curve(-1, 0), 1009), (Curve(5, 0), 4999), (Curve(7, 2 * 1013), 1013),
+     (Curve(-3, 3 * 10007), 10007), (Curve(1, -233), 233)],
+)
+def test_bsgs_point_when_b_vanishes_mod_q(curve, q):
+    counts, char_sum_qs = ellstat._point_counts(curve, [q])
+    assert counts == [count_points_reference(curve, q)]
+    assert char_sum_qs == []
+
+
+@pytest.mark.parametrize("curve", [Curve(-1, 0), Curve(0, 1), Curve(0, -432), Curve(-11, 14)])
+def test_bsgs_small_order_points_retry_then_fall_back(curve, monkeypatch):
+    # y^2 = x^3 + 1 starts at (0, 1), of order 3; x^3 - x has full 2-torsion
+    # wherever -1 is a square, and CM traces a_q = 0 half the time
+    qs = _good_primes(curve, ellstat.MESTRE_Q, 20_000)
+    points = []
+    kernel = ellstat._unique_trace
+
+    def counting_kernel(q, *args):
+        points.append(q.size)
+        return kernel(q, *args)
+
+    monkeypatch.setattr(ellstat, "_unique_trace", counting_kernel)
+    counts, char_sum_qs = ellstat._point_counts(curve, qs)
+    assert counts == [count_points_reference(curve, q) for q in qs]
+    assert len(points) > 1  # some lanes needed a second point
+    if curve in (Curve(-1, 0), Curve(0, 1)):
+        assert char_sum_qs  # and some exhausted every point
+
+
+def test_small_q_cut():
+    curve = CONDUCTOR_37_CURVE
+    qs = [227, 229, 233]
+    counts, char_sum_qs = ellstat._point_counts(curve, qs)
+    assert counts == [count_points_naive(curve, q) for q in qs]
+    assert char_sum_qs == [227, 229]
+
+
+@pytest.mark.parametrize(
+    "curve, q",
+    # the first five have |a_q| = floor(2 sqrt q); in the last two a second
+    # multiple of the point's order lies just outside, at floor(2 sqrt q) + 1
+    [(Curve(-20, -20), 337), (Curve(-20, -20), 1831), (Curve(-20, -8), 239),
+     (Curve(-20, 0), 257), (Curve(-20, -1), 2927), (Curve(-30, 21), 251), (Curve(-15, 6), 241)],
+)
+def test_bsgs_resolves_traces_at_the_hasse_edge(curve, q):
+    counts, char_sum_qs = ellstat._point_counts(curve, [q])
+    assert counts == [count_points_reference(curve, q)]
+    assert char_sum_qs == []
+
+
+def test_bsgs_lanes_independent_of_chunks_and_order(monkeypatch):
+    curve = Curve(-7, 10)
+    qs = _good_primes(curve, 3, 9_000)
+    expected = [count_points_reference(curve, q) for q in qs]
+    whole = ellstat._point_counts(curve, qs)
+    assert whole[0] == expected
+    # small q beside q near MAX_Q in one chunk: each lane's steps follow its own q
+    large = [q for q in range(MAX_Q - 2000, MAX_Q) if is_prime(q)]
+    mixed = ellstat._point_counts(curve, qs + large)
+    assert mixed[0][: len(qs)] == expected and mixed[1][: len(whole[1])] == whole[1]
+    monkeypatch.setattr(ellstat, "LANE_CHUNK", 97)  # more than ten chunks
+    assert ellstat._point_counts(curve, qs) == whole
+    shuffled = qs[:]
+    random.Random(3).shuffle(shuffled)
+    counts, char_sum_qs = ellstat._point_counts(curve, shuffled)
+    assert counts == [expected[qs.index(q)] for q in shuffled]
+    assert sorted(char_sum_qs) == whole[1]
+
+
+def test_point_counts_memory_bounded_per_chunk():
+    # three chunks of primes near MAX_Q peak no higher than one chunk does,
+    # give or take a few int64 per lane; one chunk stays below 12 MB
+    curve = Curve(19, -28)
+    qs = [int(q) for q in sieve_primes(MAX_Q - 1)[-3 * ellstat.LANE_CHUNK :]]
+    assert all(curve.has_good_reduction(q) for q in qs)
+    peaks = []
+    for part in (qs[: ellstat.LANE_CHUNK], qs):
+        tracemalloc.start()
+        try:
+            point_counts(curve, part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 12 * 2**20
+    assert peaks[1] - peaks[0] < 256 * (len(qs) - ellstat.LANE_CHUNK)
+
+
+# (bsgs_lanes, char_sum_lanes, char_sum_q) of the first pinned curve, p = 11,
+# q_max = 20000: the 46 good primes up to MESTRE_Q go to the character sum
+PINNED_WORK = (2211, 46, 5072)
+
+
+def test_histogram_counting_work_reported():
+    curve = pinned_curves()[0]
+    hist = chebotarev_histogram(curve, 11, 20_000)
+    work = (hist.bsgs_lanes, hist.char_sum_lanes, hist.char_sum_q)
+    assert hist.bsgs_lanes + hist.char_sum_lanes == hist.total
+    small = [s.q for s in hist.samples if s.q <= ellstat.MESTRE_Q]
+    assert hist.char_sum_lanes >= len(small) and hist.char_sum_q >= sum(small)
+    again = chebotarev_histogram(curve, 11, 20_000)
+    split = chebotarev_histogram(curve, 11, 20_000, workers=2)
+    assert (again.bsgs_lanes, again.char_sum_lanes, again.char_sum_q) == work
+    assert (split.bsgs_lanes, split.char_sum_lanes, split.char_sum_q) == work
+    assert work == PINNED_WORK
 
 
 class _Forbidden:

@@ -101,6 +101,57 @@ def test_pollard_rho_on_semiprimes():
     assert d in (1_000_003, 1_000_033)
 
 
+def pollard_rho_reference(n: int, max_iterations: int = 1 << 18) -> int | None:
+    """pollard_rho as written with |x - y|, kept as a reference."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 20):
+        y, m = 2, 128
+        g = r = q = 1
+        x = ys = y
+        count = 0
+        while g == 1 and count < max_iterations:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                count += min(m, r - k)
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+        if count >= max_iterations:
+            return None
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 10**6), st.integers(3, 10**6), st.sampled_from([1 << 6, 1 << 10, 1 << 14]))
+def test_pollard_rho_matches_absolute_difference_reference(a, b, budget):
+    # gcd(q (x - y) mod n, n) = gcd(q |x - y| mod n, n): same factor, same give-up
+    n = (2 * a + 1) * (2 * b + 1)
+    assert pollard_rho(n, budget) == pollard_rho_reference(n, budget)
+
+
+def test_pollard_rho_matches_reference_on_small_composites():
+    # small n often close the cycle of every factor in one batch (g = n),
+    # which sends rho back over the batch one gcd at a time
+    for n in range(9, 4000, 2):
+        if not is_prime(n):
+            assert pollard_rho(n, 1 << 10) == pollard_rho_reference(n, 1 << 10)
+
+
 def test_factorize_complete_and_unresolved():
     factors, leftover = factorize(2**5 * 3 * 5**2 * 101)
     assert leftover == 1
