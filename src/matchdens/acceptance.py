@@ -95,7 +95,7 @@ def criterion_4_planners(seed: int = 20260810) -> tuple[bool, str]:
     if verified != len(plans):
         return False, f"only {verified} of {len(plans)} plans verified"
     # refusal soundness: the full in-budget window must sit above the threshold
-    state = density._planner_state(None)
+    state = density._planner_state(density.DEFAULT_PLANNER_PRIME_BOUND)
     for c, eps, mode_matching in refusals:
         if mode_matching:
             threshold = max(Fraction(0), c - eps / 2) + eps / 2
@@ -167,12 +167,10 @@ def criterion_6_shifting_lemma() -> tuple[bool, str]:
     return True, "; ".join(details)
 
 
-def criterion_7_chebotarev(workers: int = 1) -> tuple[bool, str]:
+def criterion_7_chebotarev() -> tuple[bool, str]:
     """Conductor-37 curve, p = 11, q <= 2e5: split, non-split, and ambiguous
     fractions each within 3 standard errors of 9/20, 11/24, 11/120."""
-    hist = ellstat.chebotarev_histogram(
-        ellstat.CONDUCTOR_37_CURVE, 11, 200_000, workers=workers
-    )
+    hist = ellstat.chebotarev_histogram(ellstat.CONDUCTOR_37_CURVE, 11, 200_000)
     expected = {
         gl2fp.SPLIT: Fraction(9, 20),
         gl2fp.NONSPLIT: Fraction(11, 24),

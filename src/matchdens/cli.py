@@ -291,7 +291,6 @@ def _cmd_ellstat(args) -> tuple[dict, bool]:
             curve,
             args.p,
             args.qmax,
-            workers=args.threads,
             resolve_scalar=args.resolve_scalar,
             seed=args.seed,
         )
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gl2", help="class-type fractions and the p-dimensional character")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--report", action="store_true", help="kept for compatibility; always on")
     p.set_defaults(handler=_cmd_gl2)
 
     p = sub.add_parser("fiber", help="fiber/direct products of the named groups")
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--conductor", type=int, default=None, help="declared conductor (square-free)")
     p.add_argument("--curves", help="file with one curve per line: a b [conductor] [label]")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolve-scalar", action="store_true")
     p.set_defaults(handler=_cmd_ellstat)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,9 @@ import numpy as np
 from .primes import is_prime, sieve_primes
 
 DEFAULT_PLANNER_PRIME_BOUND = 1 << 22
-_PRIME_BOUND_ENV = "MATCHDENS_PLANNER_PRIME_BOUND"
+# the planner sieves up to its prime bound: at 2^24 that peaks at 32 MiB (a
+# 16 MiB mask) and keeps 16 MiB of primes and float logs
+MAX_PLANNER_PRIME_BOUND = 1 << 24
 # prime_window sieves up to its first prime to index it: 10 MB of mask at the bound
 MAX_WINDOW_START = 10**7
 
@@ -247,8 +248,17 @@ class _PlannerState:
         return self.full[i0]
 
 
-def _planner_state(prime_bound: int | None) -> _PlannerState:
-    bound = prime_bound or int(os.environ.get(_PRIME_BOUND_ENV, DEFAULT_PLANNER_PRIME_BOUND))
+def _checked_prime_bound(prime_bound: int | None) -> int:
+    bound = DEFAULT_PLANNER_PRIME_BOUND if prime_bound is None else prime_bound
+    if not 2 <= bound <= MAX_PLANNER_PRIME_BOUND:
+        raise ValueError(
+            f"prime_bound must lie in [2, MAX_PLANNER_PRIME_BOUND = "
+            f"{MAX_PLANNER_PRIME_BOUND}]; got {bound}"
+        )
+    return bound
+
+
+def _planner_state(bound: int) -> _PlannerState:
     if bound not in _states:
         _states[bound] = _PlannerState(bound)
     return _states[bound]
@@ -319,14 +329,16 @@ def approximate_zero_density(
     Follows the greedy construction: start at the least prime exceeding
     max(7, 1/eps), extend while the product stays above c + eps, stop at the
     first crossing.  The gap bound 1/p_k makes the crossing land inside
-    [c - eps, c + eps]; the returned plan is certified exactly.
+    [c - eps, c + eps]; the returned plan is certified exactly.  A prime_bound
+    outside [2, MAX_PLANNER_PRIME_BOUND] is refused with ValueError before
+    anything is sieved.
     """
     c, eps = Fraction(c), Fraction(eps)
     if not 0 <= c <= 1:
         raise ValueError("target must lie in [0, 1]")
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
-    state = _planner_state(prime_bound)
+    state = _planner_state(_checked_prime_bound(prime_bound))
     if eps == 0:
         return _exact_zero_hit(state, c)
     i0 = state.start_index(1 / eps)
@@ -369,12 +381,15 @@ def approximate_matching_density(
 
     The base window is planned to sit within eps/2 below c, then the least
     twist order d >= 2 with (1-w)/d <= eps/2 lands the sum inside the band.
+    A prime_bound outside [2, MAX_PLANNER_PRIME_BOUND] is refused with
+    ValueError before anything is sieved.
     """
     c, eps = Fraction(c), Fraction(eps)
     if not 0 <= c <= 1:
         raise ValueError("target must lie in [0, 1]")
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
+    bound = _checked_prime_bound(prime_bound)
     if eps == 0:
         plan = preset_matching_plan(c)
         if plan is None:
@@ -382,7 +397,7 @@ def approximate_matching_density(
                 f"epsilon 0 matching plans exist only for preset targets, not {c}"
             )
         return plan
-    state = _planner_state(prime_bound)
+    state = _planner_state(bound)
     half = eps / 2
     c_base = max(Fraction(0), c - half)
     i0 = state.start_index(1 / half)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -72,7 +71,7 @@ class Curve:
 
 
 def count_points(curve: Curve, q: int) -> int:
-    """#E(F_q) including the point at infinity, by a quadratic character sum.
+    """#E(F_q) including the point at infinity, counted as by point_counts.
 
     Refuses bad primes with BadReductionError and q >= MAX_Q with ValueError.
     """
@@ -90,8 +89,8 @@ def point_counts(curve: Curve, qs) -> list[int]:
     and every q <= MESTRE_Q, are counted by the O(q) character sum.  The
     kernel runs LANE_CHUNK lanes at a time on step tables of about
     6 (2 sqrt(2 sqrt q) + 1) int64 per lane, below 12 MB per chunk at MAX_Q
-    however many primes there are.  The character sum's workspace is 34
-    bytes per residue of the largest q it counts (71 MB at MAX_Q).
+    however many primes there are.  The character sum allocates about 33
+    bytes per residue of the q it is counting (66 MiB at q = 2,097,143).
     """
     return _point_counts(curve, qs)[0]
 
@@ -315,46 +314,20 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _character_sums(curve: Curve, qs: list[int]) -> list[int]:
-    """#E(F_q) for each q by the O(q) character sum, in one workspace.
+    """#E(F_q) for each q by the O(q) character sum,
+    q + 1 + 2 #{x : f(x) a nonzero square} - #{x : f(x) != 0}.
 
-    The workspace is sized to max(qs): arange, its squares, two int64 and
-    two bool buffers, about 34 bytes per residue; each q works on slices of
-    it in place.  f(x) = (x^2 + a)x + b stays below q^3 < 2^63, and it is
-    reduced as f - (f // q) q, since numpy's floor division by a scalar is
-    several times cheaper than %.  The character sum is
-    2 #{x : f(x) a nonzero square} - #{x : f(x) != 0}.
+    a and b are reduced mod q before they meet int64, and f(x) < q^3 < 2^63.
+    Each q allocates about 33 bytes per residue (66 MiB at q = 2,097,143).
     """
-    if not qs:
-        return []
-    size = max(qs)
-    x = np.arange(size, dtype=np.int64)
-    x2 = x * x
-    f_buf = np.empty(size, dtype=np.int64)
-    quot_buf = np.empty(size, dtype=np.int64)
-    squares_buf = np.empty(size, dtype=bool)
-    hits_buf = np.empty(size, dtype=bool)
     counts = []
     for q in qs:
-        f, quot = f_buf[:q], quot_buf[:q]
-        np.add(x2[:q], curve.a % q, out=f)
-        f *= x[:q]
-        f += curve.b % q
-        np.floor_divide(f, q, out=quot)
-        quot *= q
-        f -= quot
-        # x^2 and (q - x)^2 agree, so x <= q // 2 gives every square
-        half = q // 2 + 1
-        sq = quot[:half]
-        np.floor_divide(x2[:half], q, out=sq)
-        sq *= q
-        np.subtract(x2[:half], sq, out=sq)
-        squares = squares_buf[:q]
-        squares[:] = False
-        squares[sq] = True
-        squares[0] = False
-        hits = np.take(squares, f, out=hits_buf[:q])
-        char_sum = 2 * int(np.count_nonzero(hits)) - int(np.count_nonzero(f))
-        counts.append(q + 1 + char_sum)
+        x = np.arange(q, dtype=np.int64)
+        f = _cubic(x, curve.a % q, curve.b % q, q)
+        square = np.zeros(q, dtype=bool)
+        square[x * x % q] = True
+        square[0] = False
+        counts.append(q + 1 + 2 * int(np.count_nonzero(square[f])) - int(np.count_nonzero(f)))
     return counts
 
 
@@ -380,12 +353,6 @@ def _hasse_checked(q: int, n_points: int) -> int:
     if a_q * a_q > 4 * q:
         raise AssertionError(f"Hasse bound violated at q={q}: a_q={a_q}")
     return a_q
-
-
-def _traces(curve: Curve, qs: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
-    """((q, a_q) for each q, the q that the character sum counted)."""
-    counts, char_sum_qs = _point_counts(curve, qs)
-    return [(q, _hasse_checked(q, n)) for q, n in zip(qs, counts)], char_sum_qs
 
 
 def _require_q_bound(q: int, name: str = "q") -> None:
@@ -454,8 +421,7 @@ class ClassStat:
 class ChebotarevHistogram:
     """Samples and class-type statistics, plus how the traces were counted:
     bsgs_lanes primes by baby-step giant-step, char_sum_lanes by the
-    character sum, whose q add up to char_sum_q.  Each prime's route depends
-    on the curve and q alone, so the counts do not depend on workers."""
+    character sum, whose q add up to char_sum_q."""
 
     curve: Curve
     p: int
@@ -471,17 +437,11 @@ class ChebotarevHistogram:
         return len(self.samples)
 
 
-def _traces_for_chunk(args) -> tuple[list[tuple[int, int]], list[int]]:
-    a, b, qs = args
-    return _traces(Curve(a, b), qs)
-
-
 def chebotarev_histogram(
     curve: Curve,
     p: int,
     q_max: int,
     *,
-    workers: int = 1,
     resolve_scalar: bool = False,
     seed: int = 0,
 ) -> ChebotarevHistogram:
@@ -514,23 +474,15 @@ def chebotarev_histogram(
     good = good.tolist()
     if not good:
         raise ValueError(f"no good primes up to {q_max}")
-    if workers > 1:
-        chunks = [good[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _traces_for_chunk, [(curve.a, curve.b, chunk) for chunk in chunks]
-            ))
-        traces = sorted(pair for part, _ in parts for pair in part)
-        char_sum_qs = [q for _, qs in parts for q in qs]
-    else:
-        traces, char_sum_qs = _traces(curve, good)
+    counts, char_sum_qs = _point_counts(curve, good)
 
     rng = random.Random(seed)
     samples = []
     # the class type depends on a_q^2 - 4q mod p alone: one Legendre symbol
     # per residue that occurs, at most p of them
     kinds: dict[int, str] = {}
-    for q, a_q in traces:
+    for q, n_points in zip(good, counts):
+        a_q = _hasse_checked(q, n_points)
         r = (a_q * a_q - 4 * q) % p
         ct = kinds.get(r)
         if ct is None:

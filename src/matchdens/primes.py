@@ -308,39 +308,18 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if all(pow(g, order // q, p) != 1 for q in factors))
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine x = r1 (mod m1), x = r2 (mod m2) for coprime moduli.
-
-    Returns the least non-negative solution together with m1*m2.
-    """
-    g, s, _ = _ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli must be coprime")
-    m = m1 * m2
-    x = (r1 + (r2 - r1) * s % m2 * m1) % m
-    return x, m
-
-
 def crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:
-    """Least non-negative x with x = r_i (mod m_i) for pairwise coprime moduli."""
+    """Least non-negative x with x = r_i (mod m_i), and prod m_i.
+
+    pow raises ValueError when the moduli are not pairwise coprime.
+    """
     if not residues or len(residues) != len(moduli):
         raise ValueError("need matching non-empty residue/modulus lists")
     x, m = residues[0] % moduli[0], moduli[0]
     for r, mod in zip(residues[1:], moduli[1:]):
-        x, m = crt_pair(x, m, r, mod)
+        x += (r - x) * pow(m, -1, mod) % mod * m
+        m *= mod
     return x, m
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:

@@ -1,8 +1,14 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from matchdens.cli import main
+from matchdens.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
@@ -67,6 +73,22 @@ def test_approx_budget_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_approx_refuses_prime_bound_past_max(capsys, monkeypatch):
+    from matchdens import density
+
+    def forbidden_sieve(limit):
+        raise AssertionError("sieved before the prime bound was checked")
+
+    monkeypatch.setattr(density, "sieve_primes", forbidden_sieve)
+    for bound in (0, density.MAX_PLANNER_PRIME_BOUND + 1):
+        code = main(["--format", "json", "approx", "--target", "0.5", "--eps", "0.1",
+                     "--prime-bound", str(bound)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_PLANNER_PRIME_BOUND = 16777216" in captured.err
+
+
 def test_gl2_refuses_p_past_class_data_bound(capsys):
     assert main(["--format", "json", "gl2", "--p", "503"]) == 1
     captured = capsys.readouterr()
@@ -75,7 +97,7 @@ def test_gl2_refuses_p_past_class_data_bound(capsys):
 
 
 def test_gl2_subcommand(capsys):
-    code, report = _run(capsys, "gl2", "--p", "5", "--report")
+    code, report = _run(capsys, "gl2", "--p", "5")
     assert code == 0
     result = report["result"]
     assert result["steinberg_zero_fraction"] == {"num": "1", "den": "5"}
@@ -220,3 +242,29 @@ def test_table_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "nonzero_density" in out and "num = 10" in out
+
+
+def test_readme_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv and argv[0] == "matchdens"]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: matchdens {shlex.join(argv)}")
+
+
+def test_readme_flags_exist():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = set(parser._option_string_actions)
+    for sub in subparsers.choices.values():
+        options |= set(sub._option_string_actions)
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README.read_text(encoding="utf-8")))
+    assert "--prime-bound" in named
+    assert named - {"--no-build-isolation"} <= options

@@ -47,6 +47,21 @@ def test_window_start_bounded_before_any_sieve(monkeypatch):
             prime_window([first])
 
 
+def test_prime_bound_refused_before_any_sieve(monkeypatch):
+    with pytest.raises(PlannerBudgetError):  # the least bound is accepted
+        approximate_zero_density(Fraction(1, 2), Fraction(1, 10), prime_bound=2)
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit} before refusing")
+
+    monkeypatch.setattr(density, "sieve_primes", no_sieve)
+    for bound in (-1, 0, 1, density.MAX_PLANNER_PRIME_BOUND + 1, 10**12):
+        for c, eps in ((Fraction(1, 2), Fraction(1, 10)), (Fraction(17, 32), 0)):
+            for planner in (approximate_zero_density, approximate_matching_density):
+                with pytest.raises(ValueError, match="MAX_PLANNER_PRIME_BOUND"):
+                    planner(c, eps, prime_bound=bound)
+
+
 def test_density_examples():
     assert nonzero_density(prime_window([11])) == Fraction(10, 11)
     assert zero_density(prime_window([11])) == Fraction(1, 11)

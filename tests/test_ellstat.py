@@ -85,7 +85,7 @@ def test_point_counts_match_naive_oracle(case):
 
 
 def test_point_counts_reuse_workspace_across_sizes():
-    # a squares table or buffer left over from a larger prime would show here
+    # character-sum and BSGS primes of several sizes, in one call and any order
     for curve in (CONDUCTOR_37_CURVE, Curve(0, 1), Curve(-7, 10)):
         qs = [20011, 11, 1009, 20011, 5, 2003]
         qs = [q for q in qs if curve.has_good_reduction(q)]
@@ -104,6 +104,30 @@ def test_point_counts_exact_at_the_bound():
         assert count_points(curve, largest) == count_points_reference(curve, largest)
     with pytest.raises(ValueError, match="MAX_Q"):
         count_points(CONDUCTOR_37_CURVE, MAX_Q)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    # |a|, |b| >= 2^64: a and b must be reduced mod q before they meet int64
+    [CONDUCTOR_37_CURVE, Curve(-60, 59), Curve(2**64 + 13, -(2**65) - 7), Curve(-(3**41), 5**28)],
+)
+def test_character_sums_match_reference(curve):
+    small = [int(q) for q in sieve_primes(ellstat.MESTRE_Q) if curve.has_good_reduction(int(q))]
+    large = [q for q in (100_003, 100_019, 524_287, 1_000_003) if curve.has_good_reduction(q)]
+    qs = small + large
+    assert ellstat._character_sums(curve, qs) == [count_points_reference(curve, q) for q in qs]
+
+
+def test_character_sums_memory_per_residue():
+    q = 1_048_573  # the largest prime below 2^20
+    assert is_prime(q)
+    tracemalloc.start()
+    try:
+        ellstat._character_sums(CONDUCTOR_37_CURVE, [q])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * q + 2**16  # as the docstrings state
 
 
 BSGS_PRIMES = [int(q) for q in sieve_primes(600) if q > ellstat.MESTRE_Q]
@@ -254,9 +278,7 @@ def test_histogram_counting_work_reported():
     small = [s.q for s in hist.samples if s.q <= ellstat.MESTRE_Q]
     assert hist.char_sum_lanes >= len(small) and hist.char_sum_q >= sum(small)
     again = chebotarev_histogram(curve, 11, 20_000)
-    split = chebotarev_histogram(curve, 11, 20_000, workers=2)
     assert (again.bsgs_lanes, again.char_sum_lanes, again.char_sum_q) == work
-    assert (split.bsgs_lanes, split.char_sum_lanes, split.char_sum_q) == work
     assert work == PINNED_WORK
 
 
@@ -296,8 +318,8 @@ def pinned_curves():
 def test_histogram_samples_pinned():
     # the digest was taken from the per-prime kernel of count_points_reference
     samples = []
-    for curve, p, workers in zip(pinned_curves(), (11, 13, 17), (1, 1, 2)):
-        hist = chebotarev_histogram(curve, p, 5000, workers=workers)
+    for curve, p in zip(pinned_curves(), (11, 13, 17)):
+        hist = chebotarev_histogram(curve, p, 5000)
         samples.append([(s.q, s.a_q, s.class_type) for s in hist.samples])
     assert [len(part) for part in samples] == [664, 664, 664]
     digest = hashlib.sha256(repr(samples).encode()).hexdigest()
@@ -345,12 +367,6 @@ def test_histogram_deterministic():
     assert [(s.q, s.a_q, s.class_type) for s in h1.samples] == [
         (s.q, s.a_q, s.class_type) for s in h2.samples
     ]
-
-
-def test_histogram_workers_match_single_thread():
-    h1 = chebotarev_histogram(CONDUCTOR_37_CURVE, 11, 2000)
-    h2 = chebotarev_histogram(CONDUCTOR_37_CURVE, 11, 2000, workers=2)
-    assert [(s.q, s.a_q) for s in h1.samples] == [(s.q, s.a_q) for s in h2.samples]
 
 
 def test_histogram_errors_and_warnings():

@@ -92,6 +92,16 @@ def test_crt_least_solution():
         crt([0, 0], [4, 6])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-100, 100), st.integers(1, 50)), min_size=1, max_size=3))
+def test_crt_matches_brute_force(pairs):
+    residues, moduli = [r for r, _ in pairs], [m for _, m in pairs]
+    assume(all(math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :]))
+    m = math.prod(moduli)
+    x = next(x for x in range(m) if all((x - r) % mod == 0 for r, mod in pairs))
+    assert crt(residues, moduli) == (x, m)
+
+
 def test_pollard_rho_on_semiprimes():
     n = 10007 * 10009
     d = pollard_rho(n)
