@@ -17,6 +17,9 @@ from math import gcd
 from . import catalog, density, dirichletden, ellstat, gl2fp, groupcore, presets, sieveshift
 from .chartable import character_table_small
 
+PLANNER_SEED = 20260810  # criterion 4's targets
+ORACLE_SEED = 5  # criterion 5's random matrices
+
 
 @dataclass
 class CriterionResult:
@@ -70,11 +73,11 @@ def criterion_3_serre_family() -> tuple[bool, str]:
     return True, "k = 1..10 exact; k=2 gives 7/8"
 
 
-def criterion_4_planners(seed: int = 20260810) -> tuple[bool, str]:
+def criterion_4_planners() -> tuple[bool, str]:
     """100 pseudo-random targets at eps in {1e-1, 1e-2, 1e-3}: every returned
     plan re-verified exactly, every refusal certified as out of budget, and
     the greedy gap bound checked on every plan."""
-    rng = random.Random(seed)
+    rng = random.Random(PLANNER_SEED)
     eps_levels = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
     plans, refusals = [], []
     for i in range(100):
@@ -112,7 +115,7 @@ def criterion_4_planners(seed: int = 20260810) -> tuple[bool, str]:
     return True, f"{len(plans)} plans certified, {len(refusals)} certified refusals ({per_eps})"
 
 
-def criterion_5_product_oracle(seed: int = 5) -> tuple[bool, str]:
+def criterion_5_product_oracle() -> tuple[bool, str]:
     """St5 x St7 class-wise fractions equal 11/35 and 24/35, and agree with an
     element-level fixed-point oracle on 10^4 random pairs with zero mismatches."""
     st5 = gl2fp.steinberg_character_data(5)
@@ -122,7 +125,7 @@ def criterion_5_product_oracle(seed: int = 5) -> tuple[bool, str]:
         return False, f"class-wise zero fraction {prod.zero_fraction()}"
     if prod.nonzero_fraction() != Fraction(24, 35):
         return False, f"class-wise nonzero fraction {prod.nonzero_fraction()}"
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
     mismatches = 0
     for _ in range(10_000):
         m5 = _random_gl2(5, rng)

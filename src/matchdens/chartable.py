@@ -6,13 +6,17 @@ whose entries are the central character values.  We find those eigenvectors
 over a prime field F_l with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)),
 recover degrees and character values mod l, then lift each value to an exact
 sum of roots of unity by finite-field Fourier inversion over the cyclic group
-generated by the class representative.  Row orthogonality is re-verified
-exactly, with groupcore.inner_product, before the table is returned.
+generated by the class representative.  One reduced row echelon form over F_l
+(`_rref`) gives both the eigenspace kernels and the canonical basis of each
+eigenspace.  Each representative's cycle of power classes is walked once per
+table; the exponent is the lcm of the cycle lengths.  Row orthogonality is
+re-verified exactly, with groupcore.inner_product, before the table is
+returned.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 
 from .cyclotomic import CycValue
 from .groupcore import ClassFunction, FiniteGroup, inner_product
@@ -83,64 +87,42 @@ def _poly_roots(poly: list[int], l: int) -> list[int]:
     return roots
 
 
-def _nullspace(m: list[list[int]], l: int) -> list[list[int]]:
-    """Basis of the kernel of m over F_l (vectors as lists)."""
-    n_rows, n_cols = len(m), len(m[0])
-    a = [row[:] for row in m]
+def _rref(rows: list[list[int]], l: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_l: the non-zero rows, and their pivot
+    columns in ascending order.  The rows are the canonical basis of the row
+    span; the kernel of the input is read off the free columns."""
+    a = [[x % l for x in row] for row in rows]
     pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        sel = next((r for r in range(row, n_rows) if a[r][col] % l), None)
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        if top == len(a):
+            break
+        sel = next((r for r in range(top, len(a)) if a[r][col]), None)
         if sel is None:
             continue
-        a[row], a[sel] = a[sel], a[row]
-        inv = pow(a[row][col], -1, l)
-        a[row] = [x * inv % l for x in a[row]]
-        for r in range(n_rows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % l for x, y in zip(a[r], a[row])]
+        a[top], a[sel] = a[sel], a[top]
+        inv = pow(a[top][col], -1, l)
+        pivot_row = a[top] = [x * inv % l for x in a[top]]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f and r != top:
+                a[r] = [(x - f * y) % l for x, y in zip(row, pivot_row)]
         pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+    return a[: len(pivots)], pivots
+
+
+def _nullspace(m: list[list[int]], l: int) -> list[list[int]]:
+    """Basis of the kernel of m over F_l, one vector per free column."""
+    reduced, pivots = _rref(m, l)
+    cols = len(m[0])
     basis = []
-    for fc in free:
-        v = [0] * n_cols
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
         v[fc] = 1
-        for pr, pc in enumerate(pivots):
-            v[pc] = (-a[pr][fc]) % l
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc] % l
         basis.append(v)
     return basis
-
-
-def _column_reduce(cols: list[list[int]], l: int) -> list[list[int]]:
-    """Reduced column echelon form: canonical basis of the column span."""
-    n = len(cols[0])
-    work = [c[:] for c in cols]
-    out: list[list[int]] = []
-    pivot_rows: list[int] = []
-    for c in work:
-        v = c[:]
-        for b, pr in zip(out, pivot_rows):
-            f = v[pr]
-            if f:
-                v = [(x - f * y) % l for x, y in zip(v, b)]
-        row = next((r for r in range(n) if v[r]), None)
-        if row is None:
-            continue
-        inv = pow(v[row], -1, l)
-        v = [x * inv % l for x in v]
-        for b in out:
-            f = b[row]
-            if f:
-                for r in range(n):
-                    b[r] = (b[r] - f * v[r]) % l
-        out.append(v)
-        pivot_rows.append(row)
-    order = sorted(range(len(out)), key=lambda i: pivot_rows[i])
-    return [out[i] for i in order]
 
 
 def _coords_in_basis(basis: list[list[int]], vec: list[int], l: int) -> list[int]:
@@ -181,15 +163,17 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     if group.order > MAX_ORDER:
         raise CharacterTableError(f"order {group.order} exceeds bound {MAX_ORDER}")
     part = group.conjugacy_classes()
+    class_of = part.class_of
     r = len(part)
     if r > MAX_CLASSES:
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
     n = group.order
-    exponent = group.exponent()
+    cycles = [_power_classes(group, class_of, rep) for rep in part.representatives]
+    exponent = lcm(*map(len, cycles))
     l = _choose_modulus(n, exponent)
+    root = pow(primitive_root(l), (l - 1) // exponent, l)  # of exact order exponent
 
     inv_of = [group.inv(i) for i in range(n)]
-    class_of = part.class_of
     sizes = part.sizes
     reps = part.representatives
     identity_class = class_of[group.identity]
@@ -204,7 +188,7 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
                 a_mats[i][j][row_k] += 1
 
     # split the r-dimensional space into common eigenlines of the A_i
-    spaces = [_column_reduce([_one_hot(t, r) for t in range(r)], l)]
+    spaces = [[[int(i == t) for i in range(r)] for t in range(r)]]
     for i in range(r):
         if all(len(s) == 1 for s in spaces):
             break
@@ -226,7 +210,7 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
         if degree is None:
             raise CharacterTableError("degree recovery failed (modulus too small?)")
         chi_mod = [degree * omega[k] * pow(sizes[k], -1, l) % l for k in range(r)]
-        values = _lift_values(group, part, chi_mod, degree, exponent, l)
+        values = _lift_values(cycles, chi_mod, degree, exponent, root, l)
         characters.append((degree, values))
 
     table = [
@@ -242,12 +226,6 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     for idx, cf in enumerate(table):
         cf.name = f"chi{idx}"
     return table
-
-
-def _one_hot(t: int, r: int) -> list[int]:
-    v = [0] * r
-    v[t] = 1
-    return v
 
 
 def _split_spaces(spaces, mat, l):
@@ -275,7 +253,7 @@ def _split_spaces(spaces, mat, l):
                 ]
                 for nv in null
             ]
-            out.append(_column_reduce(lifted, l))
+            out.append(_rref(lifted, l)[0])
     return out
 
 
@@ -287,19 +265,23 @@ def _normalize_at(vec: list[int], idx: int, l: int) -> list[int]:
     return [x * inv % l for x in vec]
 
 
-def _lift_values(group, part, chi_mod, degree, exponent, l):
-    """Exact values from mod-l values via Fourier inversion on each rep's cycle."""
-    z = pow(primitive_root(l), (l - 1) // exponent, l)  # of exact order exponent
+def _power_classes(group, class_of, rep) -> list[int]:
+    """Classes of rep^0, rep^1, ..., one per power up to the order of rep."""
+    out, cur = [], group.identity
+    while True:
+        out.append(class_of[cur])
+        cur = group.mul(cur, rep)
+        if cur == group.identity:
+            return out
+
+
+def _lift_values(cycles, chi_mod, degree, exponent, root, l):
+    """Exact values from mod-l values via Fourier inversion on each rep's cycle
+    of power classes; root has exact order exponent mod l."""
     values = []
-    for k, rep in enumerate(part.representatives):
-        n_k = group.element_order(rep)
-        # classes of rep^t for t = 0..n_k-1
-        power_class = []
-        cur = group.identity
-        for _ in range(n_k):
-            power_class.append(part.class_of[cur])
-            cur = group.mul(cur, rep)
-        zeta = pow(z, exponent // n_k, l)
+    for k, power_class in enumerate(cycles):
+        n_k = len(power_class)
+        zeta = pow(root, exponent // n_k, l)
         zeta_inv = pow(zeta, -1, l)
         n_inv = pow(n_k, -1, l)
         coeffs = {}

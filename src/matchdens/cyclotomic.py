@@ -32,7 +32,11 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+# One character table's values, and all arithmetic on them, stay at divisors
+# of its group's exponent: at most 40 conductors for an order <= 2000
+# (chartable.MAX_ORDER; 1680 has 40 divisors).  256 holds several tables, and
+# an evicted polynomial is only recomputed.
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n < 1:

@@ -17,6 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,13 +203,11 @@ def _le(num: int, den: int, bound: Fraction) -> bool:
 
 # -- planner state (cached sieve + float cumulative logs + exact checkpoints)
 
-_states: dict[int, "_PlannerState"] = {}
-
-
 class _PlannerState:
     def __init__(self, bound: int):
         self.bound = bound
-        self.primes = sieve_primes(bound)
+        # past sieve_primes' cache, so the primes go with the state
+        self.primes = sieve_primes.__wrapped__(bound)
         with np.errstate(divide="ignore"):
             self.neglog = np.cumsum(-np.log1p(-1.0 / self.primes.astype(np.float64)))
         self.checkpoints: dict[int, list] = {}
@@ -258,10 +257,9 @@ def _checked_prime_bound(prime_bound: int | None) -> int:
     return bound
 
 
+@lru_cache(maxsize=1)  # the last bound's state alone: switching bounds rebuilds it
 def _planner_state(bound: int) -> _PlannerState:
-    if bound not in _states:
-        _states[bound] = _PlannerState(bound)
-    return _states[bound]
+    return _PlannerState(bound)
 
 
 def _window_from_state(state: _PlannerState, i0: int, j: int) -> PrimeWindow:

@@ -1,9 +1,12 @@
 """Dirichlet characters with exact values, and density estimation over primes.
 
 Characters mod N are indexed by exponent tuples against a fixed generator
-decomposition of (Z/N)*; values are stored as exponents of a root of unity,
-never as floats, so equality of values is integer arithmetic.  Matching
-densities of pairs are exact rationals with denominator dividing phi(N).
+decomposition of (Z/N)*, built from primes.primitive_root at each odd prime
+power; values are stored as exponents of a root of unity, never as floats, so
+equality of values is integer arithmetic.  The exact density, the match table
+and the difference weights of a pair all read one table of those exponents
+(`_value_exponents`).  Matching densities of pairs are exact rationals with
+denominator dividing phi(N).
 
 The empirical side works on indicator (or weighted) series over the primes up
 to some x_max: a natural-density estimate with a binomial standard error, a
@@ -22,10 +25,9 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .primes import factorize_small, sieve_primes
+from .primes import factorize_small, primitive_root, sieve_primes, totient
 
 DEFAULT_S_SCHEDULE = (1.5, 1.2, 1.1, 1.05, 1.02)
-DEFAULT_X_MAX = 10**6
 MAX_MODULUS = 10**4
 
 
@@ -38,14 +40,7 @@ def _local_generators(p: int, k: int) -> list[tuple[int, int]]:
         if k == 2:
             return [(3, 2)]
         return [(pk - 1, 2), (5, 2 ** (k - 2))]
-    phi = pk // p * (p - 1)
-    prime_factors = [q for q, _ in factorize_small(phi)]
-    for g in range(2, pk):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // q, pk) != 1 for q in prime_factors):
-            return [(g, phi)]
-    raise ArithmeticError(f"no generator found for (Z/{pk})*")
+    return [(primitive_root(pk), totient(pk))]
 
 
 @dataclass(frozen=True)
@@ -59,10 +54,7 @@ class UnitGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
+        return math.prod(self.orders)
 
     def units(self) -> list[int]:
         return sorted(self.dlog)
@@ -102,17 +94,10 @@ def unit_group(N: int) -> UnitGroup:
             break
         if not gens:
             break
-    expected = _euler_phi(N)
+    expected = totient(N)
     if len(dlog) != expected:
         raise ArithmeticError(f"generator enumeration found {len(dlog)} of {expected} units")
     return UnitGroup(modulus=N, generators=tuple(gens), orders=tuple(orders), dlog=dlog)
-
-
-def _euler_phi(N: int) -> int:
-    out = N
-    for p, _ in factorize_small(N):
-        out = out // p * (p - 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -225,21 +210,23 @@ def exact_matching_density_dirichlet(x: DirichletChar, y: DirichletChar) -> Frac
     Characters on different moduli are induced to the lcm; the denominator of
     the result divides phi of that common modulus.
     """
+    units, vx, vy, _ = _value_exponents(x, y)
+    return Fraction(int(np.count_nonzero(vx == vy)), len(units))
+
+
+def _value_exponents(x: DirichletChar, y: DirichletChar):
+    """(units, vx, vy, E): the units mod L = lcm of the two moduli, and the
+    values of x and y at each as exponents of one root of unity of order E."""
     L = lcm(x.modulus, y.modulus)
     if L > MAX_MODULUS:
         raise ValueError("common modulus exceeds the supported range")
-    group = unit_group(L)
-    ex, ey = x.order, y.order
-    E = lcm(ex, ey)
-    count = 0
-    for a in group.dlog:
-        vx = x.value_exponent(a % x.modulus)
-        vy = y.value_exponent(a % y.modulus)
-        if vx is None or vy is None:
-            continue  # cannot happen: a is a unit mod L
-        if vx * (E // ex) % E == vy * (E // ey) % E:
-            count += 1
-    return Fraction(count, group.order)
+    E = lcm(x.order, y.order)
+    units = np.fromiter(unit_group(L).dlog, dtype=np.int64)
+    vx, vy = (
+        np.array([chi.value_exponent(a) for a in (units % chi.modulus).tolist()]) * (E // chi.order)
+        for chi in (x, y)
+    )
+    return units, vx, vy, E
 
 
 # -- prime series and estimators
@@ -286,13 +273,9 @@ def _primes_coprime_to(L: int, x_max: int) -> np.ndarray:
 
 
 def _match_table(x: DirichletChar, y: DirichletChar, L: int) -> np.ndarray:
-    ex, ey = x.order, y.order
-    E = lcm(ex, ey)
+    units, vx, vy, _ = _value_exponents(x, y)
     table = np.zeros(L, dtype=bool)
-    for a in unit_group(L).dlog:
-        vx = x.value_exponent(a % x.modulus)
-        vy = y.value_exponent(a % y.modulus)
-        table[a] = vx * (E // ex) % E == vy * (E // ey) % E
+    table[units] = vx == vy
     return table
 
 
@@ -301,13 +284,9 @@ def difference_weight_series(
 ) -> PrimeIndicatorSeries:
     """|chi1(q) - chi2(q)|^2 weights (exact where the cosine is rational)."""
     L = lcm(x.modulus, y.modulus)
-    ex, ey = x.order, y.order
-    E = lcm(ex, ey)
+    units, vx, vy, E = _value_exponents(x, y)
     wtable = np.zeros(L, dtype=np.float64)
-    for a in unit_group(L).dlog:
-        vx = x.value_exponent(a % x.modulus) * (E // ex) % E
-        vy = y.value_exponent(a % y.modulus) * (E // ey) % E
-        wtable[a] = _root_distance_sq((vx - vy) % E, E)
+    wtable[units] = [_root_distance_sq(d, E) for d in ((vx - vy) % E).tolist()]
     primes = _primes_coprime_to(L, x_max)
     weights = wtable[primes % L]
     return PrimeIndicatorSeries(

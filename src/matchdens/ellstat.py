@@ -208,16 +208,8 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
     gx = gX * inv % q * inv % q
     gy = gY * inv % q * inv % q * inv % q
 
-    # Q = (q + 1) P, each lane reading its own bits
-    e = q + 1
-    Q = one, one, np.zeros_like(q)
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        Q = _double(*Q, a, q)
-        added = _add(*Q, px, py, a, q)
-        set_ = ((e >> bit) & 1).astype(bool)
-        Q = tuple(np.where(set_, new, old) for new, old in zip(added, Q))
-
-    # giant steps
+    # giant steps from Q = (q + 1) P
+    Q = _multiple(q + 1, px, py, a, q)
     center = m_max + k_max
     X[center], Y[center], Z[center] = Q
     for sign in (1, -1):
@@ -272,6 +264,19 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
     count = np.bincount(lanes[found], minlength=n)
     total = np.bincount(lanes[found], weights=s[found], minlength=n)
     return np.rint(total).astype(np.int64), count == 1
+
+
+def _multiple(e, px, py, a, q):
+    """e (px, py) in Jacobian coordinates by double-and-add, each lane reading
+    its own bits of e; Z = 0 where the multiple is O."""
+    one = np.ones_like(q)
+    P = one, one, np.zeros_like(q)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        P = _double(*P, a, q)
+        added = _add(*P, px, py, a, q)
+        set_ = ((e >> bit) & 1).astype(bool)
+        P = tuple(np.where(set_, new, old) for new, old in zip(added, P))
+    return P
 
 
 def _double(X, Y, Z, a, q):
@@ -520,10 +525,11 @@ def _resolve_ambiguous(curve: Curve, q: int, a_q: int, p: int, rng) -> str:
     n_points = q + 1 - a_q
     if (q - 1) % p or n_points % (p * p):
         return AMBIGUOUS
-    cofactor = n_points // p
+    # one-lane arrays for the point-counting kernel's group law
+    cofactor, a, q_lane = (np.array([v], dtype=np.int64) for v in (n_points // p, curve.a % q, q))
     for _ in range(8):
-        pt = _random_point(curve, q, rng)
-        if _scalar_mult(cofactor, pt, curve.a, q) is not None:
+        px, py = (np.array([v], dtype=np.int64) for v in _random_point(curve, q, rng))
+        if _multiple(cofactor, px, py, a, q_lane)[2][0]:  # Z != 0: not O
             return AMBIGUOUS
     return "central"
 
@@ -535,35 +541,6 @@ def _random_point(curve: Curve, q: int, rng) -> tuple[int, int]:
         y = sqrt_mod(rhs, q)
         if y is not None:
             return (x, y)
-
-
-def _scalar_mult(k: int, pt, a: int, q: int):
-    """k * pt in affine coordinates; None is the point at infinity."""
-    result = None
-    addend = pt
-    while k:
-        if k & 1:
-            result = _ec_add(result, addend, a, q)
-        addend = _ec_add(addend, addend, a, q)
-        k >>= 1
-    return result
-
-
-def _ec_add(p1, p2, a: int, q: int):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    return (x3, (lam * (x1 - x3) - y1) % q)
 
 
 # a conductor-37 semistable curve in short Weierstrass form: the scan target

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -206,27 +205,6 @@ class FiniteGroup:
         self._inverses[i] = j
         self._inverses[j] = i
         return j
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.mul(cur, i)
-            k += 1
-        return k
-
-    def power(self, i: int, k: int) -> int:
-        k %= self.element_order(i)
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, i)
-        return out
-
-    def exponent(self) -> int:
-        part = self.conjugacy_classes()
-        out = 1
-        for r in part.representatives:
-            out = lcm(out, self.element_order(r))
-        return out
 
     # -- structure checks
 
@@ -450,9 +428,6 @@ class QuotientMap:
                 self.mapping[i], self.mapping[j]
             ):
                 raise InvalidGroupError(f"not a homomorphism at indices ({i},{j})")
-
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
 
 
 def quotient_by(group: FiniteGroup, normal_indices: Sequence[int], *, name: str = "") -> QuotientMap:

@@ -301,11 +301,24 @@ def factorize_small(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def primitive_root(p: int) -> int:
-    """The smallest g >= 1 that generates the units mod the prime p (1 for p = 2)."""
-    order = p - 1
+def totient(n: int) -> int:
+    """Euler's phi: the number of units mod n >= 1."""
+    out = n
+    for p, _ in factorize_small(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def primitive_root(n: int) -> int:
+    """The smallest g >= 1 that generates the units mod n, for n a prime or an
+    odd prime power (1 for n = 2).  ValueError when the units mod n are not
+    cyclic."""
+    order = totient(n)
     factors = [q for q, _ in factorize_small(order)]
-    return next(g for g in range(1, p) if all(pow(g, order // q, p) != 1 for q in factors))
+    for g in range(1, n):
+        if math.gcd(g, n) == 1 and all(pow(g, order // q, n) != 1 for q in factors):
+            return g
+    raise ValueError(f"the units mod {n} are not cyclic")
 
 
 def crt(residues: list[int], moduli: list[int]) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from matchdens import catalog, groupcore
 from matchdens.chartable import (
     CharacterTableError,
+    _nullspace,
+    _rref,
     character_table_small,
     integer_valued_two_dimensional,
 )
@@ -67,6 +70,70 @@ def test_tables_pinned_output():
             digest.update(groupcore.dumps(groupcore.class_function_to_json(cf)).encode())
             digest.update(b"\n")
     assert digest.hexdigest() == PINNED_SHA256
+
+
+def _det_mod(m, l):
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total % l
+
+
+def _rank_by_minors(m, l):
+    """The largest k with a non-zero k x k minor mod l: a rank oracle that
+    shares nothing with row reduction."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(m, k):
+            for cols in combinations(range(len(m[0])), k):
+                if _det_mod([[row[c] for c in cols] for row in rows], l):
+                    return k
+    return 0
+
+
+@st.composite
+def _matrices_mod(draw):
+    """A prime l and a matrix over F_l whose later rows may be combinations of
+    its first ones, so that rank deficiency is common."""
+    l = draw(st.sampled_from([7, 241]))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=0, max_value=l - 1) | st.just(0)
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    extra = draw(st.lists(st.lists(entry, min_size=len(base), max_size=len(base)), max_size=2))
+    combos = [[sum(c * row[j] for c, row in zip(cs, base)) % l for j in range(cols)] for cs in extra]
+    return l, draw(st.permutations(base + combos))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_mod())
+def test_rref_and_nullspace_over_f_l(case):
+    l, m = case
+    rows, pivots = _rref(m, l)
+    cols = len(m[0])
+    # reduced echelon form: ascending pivots, each a 1 alone in its column,
+    # nothing before a row's pivot
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
+    for i, (row, pc) in enumerate(zip(rows, pivots)):
+        assert len(row) == cols and all(0 <= x < l for x in row)
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(other[pc] == 0 for j, other in enumerate(rows) if j != i)
+    # the same row space: the same rank, and every input row is the
+    # combination of the output rows given by its entries at the pivots
+    assert len(rows) == _rank_by_minors(m, l)
+    for row in m:
+        combo = [sum(row[pc] * r[j] for pc, r in zip(pivots, rows)) % l for j in range(cols)]
+        assert combo == [x % l for x in row]
+    assert _rref(rows, l) == (rows, pivots)
+    # the kernel: cols - rank independent vectors, each killed by m
+    kernel = _nullspace(m, l)
+    assert len(kernel) == cols - len(rows)
+    if kernel:
+        assert _rank_by_minors(kernel, l) == len(kernel)
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(row, v)) % l == 0 for row in m)
 
 
 def _class_function_values(classes):

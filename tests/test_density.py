@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,24 @@ def test_prime_bound_refused_before_any_sieve(monkeypatch):
             for planner in (approximate_zero_density, approximate_matching_density):
                 with pytest.raises(ValueError, match="MAX_PLANNER_PRIME_BOUND"):
                     planner(c, eps, prime_bound=bound)
+
+
+def test_one_planner_state_at_a_time():
+    bounds = [density.DEFAULT_PLANNER_PRIME_BOUND + k for k in range(4)]
+    c, eps = Fraction(1, 2), Fraction(1, 10)
+    density._planner_state.cache_clear()
+    fresh = approximate_matching_density(c, eps, prime_bound=bounds[0])
+    tracemalloc.start()
+    try:
+        for bound in bounds:
+            approximate_zero_density(Fraction(1, 2), Fraction(1, 10), prime_bound=bound)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    state = density._planner_state(bounds[-1])
+    assert current <= 1.25 * (state.primes.nbytes + state.neglog.nbytes)
+    # switching back rebuilds the state, and plans as a fresh one does
+    assert approximate_matching_density(c, eps, prime_bound=bounds[0]) == fresh
 
 
 def test_density_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -32,6 +33,17 @@ def test_unit_group_structure(N):
         for g, e in zip(group.generators, exps):
             value = value * pow(g, e, N) % N
         assert value == a % N
+
+
+# sha256 of repr([(generators, orders) of unit_group(N) for N = 1 .. 2000]),
+# taken while unit_group searched for its own primitive roots mod p^k: pins the
+# presentation that character indices are read against
+UNIT_GROUPS_SHA256 = "630d98792a6e5d4e41704e1310a74670bb9e03a75cde50de191efa5c2e971ae8"
+
+
+def test_unit_group_presentations_pinned():
+    groups = [(unit_group(N).generators, unit_group(N).orders) for N in range(1, 2001)]
+    assert hashlib.sha256(repr(groups).encode()).hexdigest() == UNIT_GROUPS_SHA256
 
 
 @pytest.mark.parametrize("N", [5, 8, 12, 24])

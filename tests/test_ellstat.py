@@ -386,6 +386,28 @@ def test_resolve_scalar_smoke():
     assert combined == raw
 
 
+# sha256 of repr([(q, a_q, class_type) per sample] per case), taken before the
+# scalar test moved from affine point arithmetic onto the counting kernel's
+# Jacobian group law; the counts of "central" samples show every case reaches it
+RESOLVE_CASES = [
+    (CONDUCTOR_37_CURVE, 11, 30_000, 0, 1),
+    (CONDUCTOR_37_CURVE, 5, 20_000, 1, 4),
+    (Curve(-1, 1), 7, 20_000, 7, 1),
+    (Curve(2, -3), 3, 10_000, 0, 19),
+]
+RESOLVE_SHA256 = "1dc6445d165e70f6ecb127dbc98bbaa12c354bd9394e334f4ae4d554be71466b"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_resolve_scalar_histograms_pinned():
+    samples = []
+    for curve, p, q_max, seed, central in RESOLVE_CASES:
+        hist = chebotarev_histogram(curve, p, q_max, resolve_scalar=True, seed=seed)
+        samples.append([(s.q, s.a_q, s.class_type) for s in hist.samples])
+        assert sum(s.class_type == "central" for s in hist.samples) == central
+    assert hashlib.sha256(repr(samples).encode()).hexdigest() == RESOLVE_SHA256
+
+
 def test_parse_curve_file():
     curves = parse_curve_file("-16 16 37 37a\n0 1\n# comment\n\n-1 0 # tail comment\n")
     assert len(curves) == 3

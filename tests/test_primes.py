@@ -18,6 +18,7 @@ from matchdens.primes import (
     quadratic_roots_mod,
     sieve_primes,
     sqrt_mod,
+    totient,
 )
 
 # every prime up to 10^4, plus 65537 = 2^16 + 1 and 786433 = 3 * 2^18 + 1,
@@ -259,6 +260,33 @@ def test_primitive_root_is_least_generator():
                 k += 1
             orders.append(k)
         assert primitive_root(p) == 1 + orders.index(p - 1), p
+
+
+def _order(g, n):
+    k, x = 1, g
+    while x != 1:
+        x = x * g % n
+        k += 1
+    return k
+
+
+def test_primitive_root_of_odd_prime_powers_is_least_generator():
+    for p in primes_below(3001)[1:]:
+        pk = p
+        while pk <= 3000:
+            phi = sum(1 for g in range(pk) if math.gcd(g, pk) == 1)
+            assert primitive_root(pk) == next(
+                g for g in range(2, pk) if math.gcd(g, pk) == 1 and _order(g, pk) == phi
+            ), pk
+            pk *= p
+    assert primitive_root(2) == 1
+    with pytest.raises(ValueError, match="not cyclic"):
+        primitive_root(8)
+
+
+def test_totient_counts_units():
+    for n in range(1, 2001):
+        assert totient(n) == sum(1 for g in range(n) if math.gcd(g, n) == 1), n
 
 
 def test_legendre_symbol():
