@@ -1,141 +1,136 @@
 """Exact character tables of small finite groups.
 
-The class-algebra method: class sums span the center of the group algebra, so
-their structure-constant matrices commute and share a full set of eigenvectors
-whose entries are the central character values.  We find those eigenvectors
-over a prime field F_l with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)),
-recover degrees and character values mod l, then lift each value to an exact
-sum of roots of unity by finite-field Fourier inversion over the cyclic group
-generated by the class representative.  One reduced row echelon form over F_l
-(`_rref`) gives both the eigenspace kernels and the canonical basis of each
-eigenspace.  Each representative's cycle of power classes is walked once per
-table; the exponent is the lcm of the cycle lengths.  Row orthogonality is
-re-verified exactly, with groupcore.inner_product, before the table is
-returned.
+The class-algebra method of Dixon (1967), as refined by Schneider (1990):
+class sums span the center of the group algebra, so their structure-constant
+matrices commute and share a full set of eigenvectors whose entries are the
+central character values.  Every stage after the conjugacy classes works on
+int64 numpy arrays:
+
+- structure constants: for each class representative z, the permutation
+  x -> x z of element indices is composed from the generators' right-regular
+  permutations along a breadth-first word for z (a group without declared
+  generators uses its representatives, which always generate it), and one
+  bincount over pairs of classes counts the x^-1 z;
+- eigenspaces over F_l, with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)):
+  images and coordinates are matrix products mod l, each restricted
+  characteristic polynomial is evaluated at all of F_l at once, and one
+  reduced row echelon form (`_rref`) gives both the kernels and the canonical
+  basis of each eigenspace;
+- degrees and values mod l, then exact values by finite-field Fourier
+  inversion over each representative's cycle of power classes: one
+  (characters x n) @ (n x n) product per class of cycle length n, giving the
+  multiplicity of every n-th root of unity as an eigenvalue.  The values'
+  coordinates, and their sort keys at the exponent, are products with
+  `cyclotomic.power_basis_matrix`.
+
+Row orthogonality is re-verified exactly before the table is returned:
+sum_k |C_k| chi_a(k) conj(chi_b(k)) is accumulated in the group ring Z[C_E]
+of the cyclic group of order E = exponent, class by class at each class's
+cycle length, reduced by power_basis_matrix(E) and compared with
+|G| delta_ab, after a bound check that keeps every int64 sum exact.
 """
 
 from __future__ import annotations
 
 from math import isqrt, lcm
 
-from .cyclotomic import CycValue
-from .groupcore import ClassFunction, FiniteGroup, inner_product
+import numpy as np
+
+from .cyclotomic import CycValue, power_basis_matrix
+from .groupcore import ClassFunction, FiniteGroup
 from .primes import is_prime, primitive_root
 
 MAX_CLASSES = 30
 MAX_ORDER = 2000
 DEFAULT_MODULUS_BOUND = 10**6
+INT64_MAX = 2**63 - 1
 
 
 class CharacterTableError(ValueError):
     """The group is outside the supported range or the method failed."""
 
 
-# -- small dense linear algebra over F_l
+# -- small dense linear algebra over F_l, on int64 arrays: l <= 10^6, so a
+# -- product of two residues stays below 10^12 and a sum of millions is exact
 
 
-def _mat_vec(m: list[list[int]], v: list[int], l: int) -> list[int]:
-    return [sum(mi[j] * v[j] for j in range(len(v))) % l for mi in m]
+def _inverses_mod(values, l: int) -> np.ndarray:
+    return np.array([pow(int(v), -1, l) for v in values], dtype=np.int64)
 
 
-def _charpoly_hessenberg(m: list[list[int]], l: int) -> list[int]:
+def _charpoly_hessenberg(m: np.ndarray, l: int) -> np.ndarray:
     """Characteristic polynomial mod l, coefficients low -> high, monic."""
-    n = len(m)
-    h = [row[:] for row in m]
+    h = m % l
+    n = len(h)
     for col in range(n - 2):
-        pivot = next((r for r in range(col + 1, n) if h[r][col] % l), None)
-        if pivot is None:
+        nonzero = h[col + 1:, col].nonzero()[0]
+        if not nonzero.size:
             continue
+        pivot = col + 1 + nonzero[0]
         if pivot != col + 1:
-            h[pivot], h[col + 1] = h[col + 1], h[pivot]
-            for row in h:
-                row[pivot], row[col + 1] = row[col + 1], row[pivot]
-        inv = pow(h[col + 1][col], -1, l)
-        for r in range(col + 2, n):
-            f = h[r][col] * inv % l
-            if f:
-                for j in range(n):
-                    h[r][j] = (h[r][j] - f * h[col + 1][j]) % l
-                for row in h:
-                    row[col + 1] = (row[col + 1] + f * row[r]) % l
-    # recurrence on leading principal minors of xI - H
-    polys: list[list[int]] = [[1]]
+            h[[pivot, col + 1]] = h[[col + 1, pivot]]
+            h[:, [pivot, col + 1]] = h[:, [col + 1, pivot]]
+        # the row operations below the pivot commute, so they go at once
+        f = h[col + 2:, col] * pow(int(h[col + 1, col]), -1, l) % l
+        h[col + 2:] = (h[col + 2:] - f[:, None] * h[col + 1]) % l
+        h[:, col + 1] = (h[:, col + 1] + h[:, col + 2:] @ f) % l
+    # recurrence on leading principal minors of xI - H, one row per minor
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [(-h[k - 1][k - 1] * c) % l for c in prev] + [0]
-        for idx, c in enumerate(prev):
-            cur[idx + 1] = (cur[idx + 1] + c) % l
+        cur, prev = polys[k], polys[k - 1]
+        cur[1:] = prev[:-1]
+        cur[:] = (cur - h[k - 1, k - 1] * prev) % l
+        coeffs = np.zeros(k - 1, dtype=np.int64)
         subdiag = 1
         for i in range(k - 2, -1, -1):
-            subdiag = subdiag * h[i + 1][i] % l
-            coeff = h[i][k - 1] * subdiag % l
-            if coeff:
-                for idx, c in enumerate(polys[i]):
-                    cur[idx] = (cur[idx] - coeff * c) % l
-        polys.append(cur)
+            subdiag = subdiag * int(h[i + 1, i]) % l
+            coeffs[i] = int(h[i, k - 1]) * subdiag % l
+        cur[:] = (cur - coeffs @ polys[: k - 1]) % l
     return polys[n]
 
 
-def _poly_roots(poly: list[int], l: int) -> list[int]:
-    roots = []
-    for x in range(l):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % l
-        if acc == 0:
-            roots.append(x)
-    return roots
+def _roots_mod(poly: np.ndarray, l: int) -> np.ndarray:
+    """Ascending roots in F_l, by evaluating poly at every residue at once."""
+    xs = np.arange(l, dtype=np.int64)
+    acc = np.zeros(l, dtype=np.int64)
+    for c in poly[::-1]:
+        acc = (acc * xs + c) % l
+    return np.flatnonzero(acc == 0)
 
 
-def _rref(rows: list[list[int]], l: int) -> tuple[list[list[int]], list[int]]:
+def _rref(rows, l: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_l: the non-zero rows, and their pivot
     columns in ascending order.  The rows are the canonical basis of the row
     span; the kernel of the input is read off the free columns."""
-    a = [[x % l for x in row] for row in rows]
+    a = np.array(rows, dtype=np.int64) % l
     pivots: list[int] = []
-    for col in range(len(a[0]) if a else 0):
+    for col in range(a.shape[1]):
         top = len(pivots)
         if top == len(a):
             break
-        sel = next((r for r in range(top, len(a)) if a[r][col]), None)
-        if sel is None:
+        nonzero = a[top:, col].nonzero()[0]
+        if not nonzero.size:
             continue
-        a[top], a[sel] = a[sel], a[top]
-        inv = pow(a[top][col], -1, l)
-        pivot_row = a[top] = [x * inv % l for x in a[top]]
-        for r, row in enumerate(a):
-            f = row[col]
-            if f and r != top:
-                a[r] = [(x - f * y) % l for x, y in zip(row, pivot_row)]
+        sel = top + nonzero[0]
+        if sel != top:
+            a[[top, sel]] = a[[sel, top]]
+        a[top] = a[top] * pow(int(a[top, col]), -1, l) % l
+        f = a[:, col].copy()
+        f[top] = 0
+        a = (a - f[:, None] * a[top]) % l
         pivots.append(col)
     return a[: len(pivots)], pivots
 
 
-def _nullspace(m: list[list[int]], l: int) -> list[list[int]]:
-    """Basis of the kernel of m over F_l, one vector per free column."""
+def _nullspace(m, l: int) -> np.ndarray:
+    """Basis of the kernel of m over F_l, one row per free column."""
     reduced, pivots = _rref(m, l)
-    cols = len(m[0])
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        v = [0] * cols
-        v[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc] % l
-        basis.append(v)
+    free = [c for c in range(reduced.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % l
     return basis
-
-
-def _coords_in_basis(basis: list[list[int]], vec: list[int], l: int) -> list[int]:
-    """Coordinates of vec in a reduced-echelon column basis (must lie in the span)."""
-    pivot_rows = [next(r for r in range(len(b)) if b[r]) for b in basis]
-    coords = [vec[pr] % l for pr in pivot_rows]
-    residual = vec[:]
-    for c, b in zip(coords, basis):
-        if c:
-            residual = [(x - c * y) % l for x, y in zip(residual, b)]
-    if any(residual):
-        raise CharacterTableError("class-sum matrices do not preserve a split subspace")
-    return coords
 
 
 # -- the table computation
@@ -163,159 +158,223 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     if group.order > MAX_ORDER:
         raise CharacterTableError(f"order {group.order} exceeds bound {MAX_ORDER}")
     part = group.conjugacy_classes()
-    class_of = part.class_of
     r = len(part)
     if r > MAX_CLASSES:
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
     n = group.order
-    cycles = [_power_classes(group, class_of, rep) for rep in part.representatives]
+    class_of = np.asarray(part.class_of)
+    inv_of = np.array([group.inv(i) for i in range(n)])
+    perms = _right_regular(group, part.representatives)
+    cycles = [class_of[_power_cycle(perm, group.identity)] for perm in perms]
     exponent = lcm(*map(len, cycles))
     l = _choose_modulus(n, exponent)
     root = pow(primitive_root(l), (l - 1) // exponent, l)  # of exact order exponent
 
-    inv_of = [group.inv(i) for i in range(n)]
-    sizes = part.sizes
-    reps = part.representatives
-    identity_class = class_of[group.identity]
-
-    # structure constants: A[i][j][k] = #{x in C_i with x^(-1) z_k in C_j}
-    a_mats = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k, z in enumerate(reps):
-        for i, members in enumerate(part.classes):
-            row_k = k
-            for x in members:
-                j = class_of[group.mul(inv_of[x], z)]
-                a_mats[i][j][row_k] += 1
-
-    # split the r-dimensional space into common eigenlines of the A_i
-    spaces = [[[int(i == t) for i in range(r)] for t in range(r)]]
-    for i in range(r):
-        if all(len(s) == 1 for s in spaces):
+    # split the r-dimensional space into common eigenlines of the class sums
+    spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+    for mat in _structure_constants(class_of, inv_of, perms):
+        if all(len(basis) == 1 for basis, _ in spaces):
             break
-        spaces = _split_spaces(spaces, a_mats[i], l)
-    if not all(len(s) == 1 for s in spaces):
+        spaces = _split_spaces(spaces, mat, l)
+    if not all(len(basis) == 1 for basis, _ in spaces):
         raise CharacterTableError("class-sum matrices failed to separate characters")
 
-    characters = []
-    g_mod = n % l
-    for (vec,) in spaces:
-        omega = _normalize_at(vec, identity_class, l)
-        # 1/d^2 = (1/|G|) sum_k omega_k omega_{k*} / |C_k|
-        inv_dsq = 0
-        for k in range(r):
-            kstar = class_of[inv_of[reps[k]]]
-            inv_dsq = (inv_dsq + omega[k] * omega[kstar] * pow(sizes[k], -1, l)) % l
-        dsq = g_mod * pow(inv_dsq, -1, l) % l
-        degree = next((d for d in range(1, isqrt(n) + 1) if d * d % l == dsq), None)
-        if degree is None:
-            raise CharacterTableError("degree recovery failed (modulus too small?)")
-        chi_mod = [degree * omega[k] * pow(sizes[k], -1, l) % l for k in range(r)]
-        values = _lift_values(cycles, chi_mod, degree, exponent, root, l)
-        characters.append((degree, values))
+    # one eigenvector per character, normalized at the identity class
+    omega = np.concatenate([basis for basis, _ in spaces])
+    pivot = omega[:, class_of[group.identity]]
+    if not pivot.all():
+        raise CharacterTableError("eigenvector vanishes on the identity class")
+    omega = omega * _inverses_mod(pivot, l)[:, None] % l
+    inv_sizes = _inverses_mod(part.sizes, l)
+    # 1/d^2 = (1/|G|) sum_k omega_k omega_{k*} / |C_k|
+    kstar = class_of[inv_of[list(part.representatives)]]
+    inv_dsq = (omega * omega[:, kstar] % l) @ inv_sizes % l
+    dsq = n % l * _inverses_mod(inv_dsq, l) % l
+    found = dsq[:, None] == np.arange(1, isqrt(n) + 1) ** 2 % l
+    if not found.any(axis=1).all():
+        raise CharacterTableError("degree recovery failed (modulus too small?)")
+    degrees = found.argmax(axis=1) + 1
+    chi_mod = degrees[:, None] * omega % l * inv_sizes % l
 
-    table = [
-        ClassFunction(group, values, name=f"chi{deg}") for deg, values in characters
-    ]
-    _verify_table(group, table)
-    table.sort(
-        key=lambda cf: (
-            int(cf.degree().as_rational()),
-            [v.sort_key(exponent) for v in cf.values],
-        )
+    mults = _lift(cycles, chi_mod, degrees, exponent, root, l)
+    conductors = [mult.shape[1] for mult in mults]
+    coords = [mult @ power_basis_matrix(n_k) for mult, n_k in zip(mults, conductors)]
+    _verify_table(n, part.sizes, degrees.tolist(), conductors, coords, exponent)
+    values = [[] for _ in range(r)]
+    for n_k, vecs in zip(conductors, coords):
+        for row, vec in zip(values, vecs.tolist()):
+            row.append(CycValue.from_power_basis(n_k, vec))
+    # sort keys: every value's coordinates at the exponent, class by class
+    at_exponent = power_basis_matrix(exponent)
+    keys = np.concatenate(
+        [mult @ at_exponent[:: exponent // n_k] for mult, n_k in zip(mults, conductors)], axis=1
     )
-    for idx, cf in enumerate(table):
-        cf.name = f"chi{idx}"
-    return table
+    order = sorted(range(r), key=lambda c: (degrees[c], keys[c].tolist()))
+    return [
+        ClassFunction(group, values[c], name=f"chi{idx}") for idx, c in enumerate(order)
+    ]
 
 
-def _split_spaces(spaces, mat, l):
-    out = []
-    for basis in spaces:
-        if len(basis) == 1:
-            out.append(basis)
-            continue
-        images = [_mat_vec(mat, b, l) for b in basis]
-        restricted_cols = [_coords_in_basis(basis, img, l) for img in images]
-        m = len(basis)
-        restricted = [[restricted_cols[cc][rr] for cc in range(m)] for rr in range(m)]
-        for lam in sorted(_poly_roots(_charpoly_hessenberg(restricted, l), l)):
-            shifted = [
-                [(restricted[rr][cc] - (lam if rr == cc else 0)) % l for cc in range(m)]
-                for rr in range(m)
-            ]
-            null = _nullspace(shifted, l)
-            if not null:
-                continue
-            lifted = [
-                [
-                    sum(nv[t] * basis[t][row] for t in range(m)) % l
-                    for row in range(len(basis[0]))
-                ]
-                for nv in null
-            ]
-            out.append(_rref(lifted, l)[0])
+def _right_regular(group: FiniteGroup, reps) -> list[np.ndarray]:
+    """The permutation x -> x z of element indices, for each z in reps.
+
+    Each generator's permutation costs |G| products; every other one is
+    composed from those along a breadth-first word.  Without declared
+    generators the non-identity representatives serve: a proper subgroup
+    never meets every conjugacy class, so they generate the group.
+    """
+    n, e = group.order, group.identity
+    gens = group.generator_indices
+    if gens is None:
+        gens = [z for z in reps if z != e]
+    gen_perms = [np.array([group.mul(x, g) for x in range(n)]) for g in gens]
+    parent = {e: None}
+    frontier, wanted = [e], set(reps) - {e}
+    steps = [perm.tolist() for perm in gen_perms]
+    while frontier and wanted:
+        reached = []
+        for x in frontier:
+            for s, step in enumerate(steps):
+                y = step[x]
+                if y not in parent:
+                    parent[y] = (x, s)
+                    reached.append(y)
+                    wanted.discard(y)
+        frontier = reached
+    if wanted:
+        raise CharacterTableError("the generators do not reach every conjugacy class")
+    # y = x g: x' y = (x' x) g, so the permutation of y is g's after x's
+    composed = {e: np.arange(n)}
+    for z in reps:
+        path = []
+        while z not in composed:
+            path.append(z)
+            z = parent[z][0]
+        for y in reversed(path):
+            x, s = parent[y]
+            composed[y] = gen_perms[s][composed[x]]
+    return [composed[z] for z in reps]
+
+
+def _power_cycle(perm: np.ndarray, identity: int) -> list[int]:
+    """Indices of z^0, z^1, ... up to the order of z, from x -> x z."""
+    out, cur = [identity], int(perm[identity])
+    while cur != identity:
+        out.append(cur)
+        cur = int(perm[cur])
+        if len(out) > len(perm):
+            raise CharacterTableError("a representative's powers never return to 1")
     return out
 
 
-def _normalize_at(vec: list[int], idx: int, l: int) -> list[int]:
-    pivot = vec[idx] % l
-    if pivot == 0:
-        raise CharacterTableError("eigenvector vanishes on the identity class")
-    inv = pow(pivot, -1, l)
-    return [x * inv % l for x in vec]
+def _structure_constants(class_of: np.ndarray, inv_of: np.ndarray, perms) -> np.ndarray:
+    """a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}, perms[k] being x -> x z_k."""
+    r = len(perms)
+    return np.stack(
+        [
+            np.bincount(class_of * r + class_of[perm[inv_of]], minlength=r * r).reshape(r, r)
+            for perm in perms
+        ],
+        axis=2,
+    )
 
 
-def _power_classes(group, class_of, rep) -> list[int]:
-    """Classes of rep^0, rep^1, ..., one per power up to the order of rep."""
-    out, cur = [], group.identity
-    while True:
-        out.append(class_of[cur])
-        cur = group.mul(cur, rep)
-        if cur == group.identity:
-            return out
+def _split_spaces(spaces, mat: np.ndarray, l: int):
+    """Each (reduced basis rows, pivot columns) space, split into the
+    eigenspaces of mat restricted to it."""
+    out = []
+    for basis, pivots in spaces:
+        if len(basis) == 1:
+            out.append((basis, pivots))
+            continue
+        images = basis @ mat.T % l
+        # a reduced echelon basis reads a vector's coordinates at its pivots
+        coords = images[:, pivots]
+        if ((images - coords @ basis) % l).any():
+            raise CharacterTableError("class-sum matrices do not preserve a split subspace")
+        restricted = coords.T
+        eye = np.eye(len(basis), dtype=np.int64)
+        if np.array_equal(restricted, restricted[0, 0] * eye):
+            out.append((basis, pivots))  # a scalar splits nothing
+            continue
+        for lam in _roots_mod(_charpoly_hessenberg(restricted, l), l):
+            null = _nullspace(restricted - lam * eye, l)
+            out.append(_rref(null @ basis % l, l))
+    return out
 
 
-def _lift_values(cycles, chi_mod, degree, exponent, root, l):
+def _lift(cycles, chi_mod, degrees, exponent, root, l) -> list[np.ndarray]:
     """Exact values from mod-l values via Fourier inversion on each rep's cycle
-    of power classes; root has exact order exponent mod l."""
-    values = []
+    of power classes; root has exact order exponent mod l.
+
+    One array per class, of shape (characters, n) for a cycle of length n:
+    entry j is the multiplicity of zeta_n^j among the representative's
+    eigenvalues, so the value is sum_j mult_j zeta_n^j.
+    """
+    root_powers = np.empty(exponent, dtype=np.int64)
+    root_powers[0] = 1
+    for t in range(1, exponent):
+        root_powers[t] = root_powers[t - 1] * root % l
+    mults = []
     for k, power_class in enumerate(cycles):
         n_k = len(power_class)
-        zeta = pow(root, exponent // n_k, l)
-        zeta_inv = pow(zeta, -1, l)
-        n_inv = pow(n_k, -1, l)
-        coeffs = {}
-        check = 0
-        for j in range(n_k):
-            acc = 0
-            w = 1
-            step = pow(zeta_inv, j, l)
-            for t in range(n_k):
-                acc = (acc + chi_mod[power_class[t]] * w) % l
-                w = w * step % l
-            mult = acc * n_inv % l
-            if mult > degree:
-                raise CharacterTableError("eigenvalue multiplicities failed to lift")
-            if mult:
-                coeffs[j] = mult
-                check = (check + mult * pow(zeta, j, l)) % l
-        if check != chi_mod[k] % l:
+        zeta_powers = root_powers[:: exponent // n_k]
+        steps = np.arange(n_k)
+        inverse_dft = zeta_powers[-np.outer(steps, steps) % n_k]
+        mult = chi_mod[:, power_class] @ inverse_dft % l * pow(n_k, -1, l) % l
+        if (mult > degrees[:, None]).any():
+            raise CharacterTableError("eigenvalue multiplicities failed to lift")
+        if (mult @ zeta_powers % l != chi_mod[:, k]).any():
             raise CharacterTableError("lifted value does not reduce back mod l")
-        values.append(CycValue(n_k, coeffs))
-    return values
+        mults.append(mult)
+    return mults
 
 
-def _verify_table(group, table) -> None:
-    degs = [int(cf.degree().as_rational()) for cf in table]
-    if sum(d * d for d in degs) != group.order:
+def _verify_table(order: int, sizes, degrees, conductors, coeffs, exponent: int) -> None:
+    """Raise CharacterTableError unless the characters are orthonormal.
+
+    coeffs[k][c, j] is the integer coefficient of zeta_n^j, n = conductors[k]
+    dividing the exponent E and j < coeffs[k].shape[1] <= n, in the value of
+    character c at class k.  sum_k |C_k| chi_a(k) conj(chi_b(k)) is
+    accumulated in Z[C_E], one correlation product per conductor, reduced to
+    power-basis coordinates and compared with |G| delta_ab, exactly.
+    """
+    if sum(d * d for d in degrees) != order:
         raise CharacterTableError("degrees do not satisfy sum(d^2) = |G|")
-    for a, cfa in enumerate(table):
-        for b in range(a, len(table)):
-            inner = inner_product(cfa, table[b])
-            if inner != (1 if a == b else 0):
-                raise CharacterTableError(
-                    f"orthogonality fails for characters {a}, {b}: <a,b> = {inner}"
-                )
+    basis = power_basis_matrix(exponent)
+    # a reduced coordinate is at most the l1 norm of its ring element times
+    # the largest basis entry, and no partial sum on the way exceeds that
+    bound = int(np.abs(basis).max()) * sum(
+        int(size) * int(np.abs(c).sum(axis=1).max()) ** 2 for size, c in zip(sizes, coeffs)
+    )
+    if bound > INT64_MAX:
+        raise CharacterTableError(f"orthogonality sums up to {bound} overflow int64")
+    chars = len(degrees)
+    by_conductor: dict[int, list[int]] = {}
+    for k, n in enumerate(conductors):
+        by_conductor.setdefault(n, []).append(k)
+    ring = np.zeros((chars, chars, exponent), dtype=np.int64)
+    for n, classes in by_conductor.items():
+        # chi_a conj(chi_b) has coefficient sum_j a_j b_(j-d) at zeta_n^d
+        width = coeffs[classes[0]].shape[1]
+        shift = (np.arange(width)[:, None] - np.arange(n)) % n
+        left = np.concatenate([sizes[k] * coeffs[k] for k in classes], axis=1)
+        right = np.concatenate(
+            [
+                np.pad(coeffs[k], ((0, 0), (0, n - width)))[:, shift]
+                .transpose(1, 0, 2)
+                .reshape(width, chars * n)
+                for k in classes
+            ]
+        )
+        ring[:, :, :: exponent // n] += (left @ right).reshape(chars, chars, n)
+    gram = ring @ basis
+    expected = np.zeros_like(gram)
+    expected[:, :, 0] = order * np.eye(chars, dtype=np.int64)
+    bad = np.argwhere((gram != expected).any(axis=2))
+    if bad.size:
+        a, b = bad[0].tolist()
+        raise CharacterTableError(f"orthogonality fails for characters {a}, {b}")
 
 
 def integer_valued_two_dimensional(table: list[ClassFunction]) -> ClassFunction:

@@ -9,6 +9,9 @@ their lcm.  Every result is built as an integer polynomial in z and reduced
 once modulo the monic cyclotomic polynomial Phi_e, in integer arithmetic.
 `canonical()` and `power_basis()` return the coordinates as `Fraction`s;
 `sort_key()` returns them as ints, for algebraic integers only.
+`power_basis_matrix(e)` holds the integer coordinates of every power of z at
+once, so that array code can move between sums of roots of unity and
+coordinates with one matrix product.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+import numpy as np
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -46,6 +51,30 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+# A character table reads the matrices of its cycle lengths and of its
+# exponent, all divisors of the exponent (at most 40 of them for an order
+# <= 2000), and every entry is small (at most 9 in absolute value for e <=
+# 2000).  64 matrices hold a table's with room to spare; an evicted one is
+# only recomputed.
+@lru_cache(maxsize=64)
+def power_basis_matrix(e: int) -> np.ndarray:
+    """The read-only e x phi(e) int64 matrix whose row k holds the power-basis
+    coordinates of z^k, z a primitive e-th root of unity.
+
+    Row k + 1 is row k times z: shifted up one place, with the top coordinate
+    folded back through the monic Phi_e.
+    """
+    phi = np.array(cyclotomic_polynomial(e), dtype=np.int64)
+    deg = len(phi) - 1
+    out = np.zeros((e, deg), dtype=np.int64)
+    out[:deg] = np.eye(deg, dtype=np.int64)
+    for k in range(deg, e):
+        out[k, 1:] = out[k - 1, :-1]
+        out[k] -= out[k - 1, -1] * phi[:-1]
+    out.setflags(write=False)
+    return out
 
 
 def _reduced(e: int, poly: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -91,6 +120,17 @@ class CycValue:
         return out
 
     # -- constructors
+
+    @classmethod
+    def from_power_basis(cls, conductor: int, coords) -> CycValue:
+        """The algebraic integer with these integer coordinates in the power
+        basis 1, z, ..., z^(phi(e)-1); they are canonical as given."""
+        out = cls.__new__(cls)
+        out.conductor = conductor
+        out._num, out._den = tuple(map(int, coords)), 1
+        if len(out._num) != len(cyclotomic_polynomial(conductor)) - 1:
+            raise ValueError(f"need phi({conductor}) coordinates, got {len(out._num)}")
+        return out
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> CycValue:

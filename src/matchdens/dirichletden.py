@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -121,7 +121,7 @@ class DirichletChar:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
-    @property
+    @cached_property
     def order(self) -> int:
         out = 1
         for t, o in zip(self.exponents, self.group.orders):
@@ -129,23 +129,21 @@ class DirichletChar:
                 out = lcm(out, o // gcd(o, t))
         return out
 
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        """w with chi(a) = zeta_order^(w . dlog(a)): w_i = t_i * order / o_i,
+        an integer because the order of each component divides the order."""
+        return tuple(t * self.order // o for t, o in zip(self.exponents, self.group.orders))
+
     def is_principal(self) -> bool:
         return all(t == 0 for t in self.exponents)
 
     def value_exponent(self, a: int) -> int | None:
         """Exponent j with chi(a) = zeta_order^j, or None when gcd(a, N) > 1."""
-        group = self.group
-        a %= self.modulus
-        if a not in group.dlog:
+        d = self.group.dlog.get(a % self.modulus)
+        if d is None:
             return None
-        e0 = 1
-        for o in group.orders:
-            e0 = lcm(e0, o)
-        acc = 0
-        for t, o, d in zip(self.exponents, group.orders, group.dlog[a]):
-            acc = (acc + t * d * (e0 // o)) % e0
-        e = self.order
-        return acc * e // e0  # exact: acc is a multiple of e0/e
+        return sum(w * x for w, x in zip(self._weights, d)) % self.order
 
     def mul(self, other: DirichletChar) -> DirichletChar:
         if other.modulus != self.modulus:
@@ -222,10 +220,13 @@ def _value_exponents(x: DirichletChar, y: DirichletChar):
         raise ValueError("common modulus exceeds the supported range")
     E = lcm(x.order, y.order)
     units = np.fromiter(unit_group(L).dlog, dtype=np.int64)
-    vx, vy = (
-        np.array([chi.value_exponent(a) for a in (units % chi.modulus).tolist()]) * (E // chi.order)
-        for chi in (x, y)
-    )
+
+    def exponents(chi):  # one dot product of the dlog table with the weights
+        dlog = chi.group.dlog
+        logs = np.array([dlog[a] for a in (units % chi.modulus).tolist()], dtype=np.int64)
+        return logs @ np.array(chi._weights, dtype=np.int64) % chi.order
+
+    vx, vy = (exponents(chi) * (E // chi.order) for chi in (x, y))
     return units, vx, vy, E
 
 

@@ -525,12 +525,19 @@ def _resolve_ambiguous(curve: Curve, q: int, a_q: int, p: int, rng) -> str:
     n_points = q + 1 - a_q
     if (q - 1) % p or n_points % (p * p):
         return AMBIGUOUS
-    # one-lane arrays for the point-counting kernel's group law
-    cofactor, a, q_lane = (np.array([v], dtype=np.int64) for v in (n_points // p, curve.a % q, q))
+    # the eight points go through the counting kernel's group law as eight
+    # lanes of one call; the rng is then left where a point-by-point test,
+    # stopping at the first point that survives, would have left it
+    points, states = [], []
     for _ in range(8):
-        px, py = (np.array([v], dtype=np.int64) for v in _random_point(curve, q, rng))
-        if _multiple(cofactor, px, py, a, q_lane)[2][0]:  # Z != 0: not O
-            return AMBIGUOUS
+        points.append(_random_point(curve, q, rng))
+        states.append(rng.getstate())
+    px, py = np.array(points, dtype=np.int64).T
+    cofactor, a, q_lanes = (np.full(8, v, dtype=np.int64) for v in (n_points // p, curve.a % q, q))
+    survivors = np.flatnonzero(_multiple(cofactor, px, py, a, q_lanes)[2])  # Z != 0: not O
+    if survivors.size:
+        rng.setstate(states[survivors[0]])
+        return AMBIGUOUS
     return "central"
 
 

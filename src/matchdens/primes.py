@@ -339,7 +339,10 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
     """Brent-cycle Pollard rho: a non-trivial factor of composite n, or None.
 
     Fully deterministic: the polynomial offset c walks 1, 2, 3, ... so reruns
-    are bit-identical.
+    are bit-identical.  max_iterations is checked once per Brent round, after
+    the round's steps, and each round is twice as long as the one before: an
+    offset that gives up has taken up to 2 * max_iterations - 1 steps that
+    accumulate the product q, plus as many steps that only advance y.
     """
     if n % 2 == 0:
         return 2

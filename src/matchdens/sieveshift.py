@@ -163,7 +163,10 @@ class ScanResult:
 
     The counts say what the scan spent: primes_sieved primes had their roots
     found, rho_calls cofactors went to Pollard rho, and rho_giveups of them
-    exhausted its budget (each of those values is in unresolved).
+    exhausted its budget (each of those values is in unresolved).  A give-up
+    took up to 2 * rho_iterations - 1 product steps, since the budget is
+    checked once per Brent round, plus as many steps that only advance the
+    sequence.
     """
 
     poly: QuadPoly

@@ -2,7 +2,9 @@ import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,10 @@ from matchdens import catalog, groupcore
 from matchdens.chartable import (
     CharacterTableError,
     _nullspace,
+    _right_regular,
     _rref,
+    _structure_constants,
+    _verify_table,
     character_table_small,
     integer_valued_two_dimensional,
 )
@@ -111,29 +116,136 @@ def _matrices_mod(draw):
 @given(_matrices_mod())
 def test_rref_and_nullspace_over_f_l(case):
     l, m = case
+    a = np.array(m, dtype=np.int64) % l
     rows, pivots = _rref(m, l)
     cols = len(m[0])
     # reduced echelon form: ascending pivots, each a 1 alone in its column,
     # nothing before a row's pivot
-    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
-    for i, (row, pc) in enumerate(zip(rows, pivots)):
-        assert len(row) == cols and all(0 <= x < l for x in row)
-        assert row[pc] == 1 and not any(row[:pc])
-        assert all(other[pc] == 0 for j, other in enumerate(rows) if j != i)
+    assert pivots == sorted(set(pivots))
+    assert rows.dtype == np.int64 and rows.shape == (len(pivots), cols)
+    assert ((rows >= 0) & (rows < l)).all()
+    for i, pc in enumerate(pivots):
+        assert rows[i, pc] == 1 and not rows[i, :pc].any()
+        assert np.count_nonzero(rows[:, pc]) == 1
     # the same row space: the same rank, and every input row is the
     # combination of the output rows given by its entries at the pivots
     assert len(rows) == _rank_by_minors(m, l)
-    for row in m:
-        combo = [sum(row[pc] * r[j] for pc, r in zip(pivots, rows)) % l for j in range(cols)]
-        assert combo == [x % l for x in row]
-    assert _rref(rows, l) == (rows, pivots)
+    assert not ((a[:, pivots] @ rows - a) % l).any()
+    again, again_pivots = _rref(rows, l)
+    assert again_pivots == pivots and np.array_equal(again, rows)
     # the kernel: cols - rank independent vectors, each killed by m
     kernel = _nullspace(m, l)
-    assert len(kernel) == cols - len(rows)
-    if kernel:
-        assert _rank_by_minors(kernel, l) == len(kernel)
-    for v in kernel:
-        assert all(sum(a * b for a, b in zip(row, v)) % l == 0 for row in m)
+    assert kernel.dtype == np.int64 and kernel.shape == (cols - len(rows), cols)
+    if len(kernel):
+        assert _rank_by_minors(kernel.tolist(), l) == len(kernel)
+    assert not (a @ kernel.T % l).any()
+
+
+def _symmetric4_without_generators():
+    def op(x, y):
+        return tuple(x[y[i]] for i in range(4))
+
+    return groupcore.FiniteGroup(list(permutations(range(4))), op, name="s4")
+
+
+SMALL_GROUPS = [
+    "trivial", "q8", "s3", "d4", "sl2f3", "heisenberg:3", "gl2fp:2", "gl2fp:3",
+    *(f"cyclic:{n}" for n in (1, 2, 6, 12, 30)),
+]
+
+
+@pytest.mark.parametrize("name", [*SMALL_GROUPS, "s4"])
+def test_structure_constants_equal_a_brute_force_count(name):
+    group = _symmetric4_without_generators() if name == "s4" else catalog.named_group(name)
+    assert group.order <= 200
+    part = group.conjugacy_classes()
+    r, reps = len(part), part.representatives
+    perms = _right_regular(group, reps)
+    for z, perm in zip(reps, perms):
+        assert perm.tolist() == [group.mul(x, z) for x in range(group.order)]
+    inv_of = np.array([group.inv(x) for x in range(group.order)])
+    got = _structure_constants(np.asarray(part.class_of), inv_of, perms)
+    want = np.zeros((r, r, r), dtype=np.int64)
+    for k, z in enumerate(reps):
+        for x in range(group.order):
+            want[part.class_of[x], part.class_of[group.mul(group.inv(x), z)], k] += 1
+    assert np.array_equal(got, want)
+
+
+def test_table_of_a_group_without_generators():
+    group = _symmetric4_without_generators()
+    assert group.generator_indices is None
+    table = character_table_small(group)
+    assert [int(cf.degree().as_rational()) for cf in table] == [1, 1, 2, 3, 3]
+
+
+def test_undeclared_generators_are_refused():
+    def op(x, y):
+        return tuple(x[y[i]] for i in range(3))
+
+    # a transposition alone generates a subgroup of order 2
+    partial = groupcore.FiniteGroup(list(permutations(range(3))), op, generators=[(1, 0, 2)])
+    with pytest.raises(CharacterTableError, match="do not reach"):
+        character_table_small(partial)
+
+
+def _power_basis_coordinates(group, table):
+    """Per class: the values' conductor, and every character's value there as
+    integer power-basis coordinates."""
+    conductors, coords = [], []
+    for k in range(len(group.conjugacy_classes())):
+        (n,) = {cf.values[k].conductor for cf in table}
+        conductors.append(n)
+        coords.append(np.array([cf.values[k].sort_key(n) for cf in table]))
+    return conductors, coords
+
+
+@pytest.mark.parametrize("form", ["coordinates", "padded"])
+def test_gram_check_rejects_broken_tables(form):
+    group, table = _table("gl2fp:3")
+    sizes = list(group.conjugacy_classes().sizes)
+    degrees = [int(cf.degree().as_rational()) for cf in table]
+    conductors, coeffs = _power_basis_coordinates(group, table)
+    if form == "padded":  # the same values, one coefficient per n-th root of unity
+        coeffs = [np.pad(c, ((0, 0), (0, n - c.shape[1]))) for n, c in zip(conductors, coeffs)]
+    exponent = lcm(*conductors)
+
+    def check(sizes=sizes, degrees=degrees, coeffs=coeffs):
+        _verify_table(group.order, sizes, degrees, conductors, coeffs, exponent)
+
+    check()
+    for k, c in enumerate(coeffs):
+        bumped = list(coeffs)
+        bumped[k] = c.copy()
+        bumped[k][len(table) - 1, c.shape[1] - 1] += 1
+        with pytest.raises(CharacterTableError, match="orthogonality fails"):
+            check(coeffs=bumped)
+        resized = list(sizes)
+        resized[k] += 1
+        with pytest.raises(CharacterTableError, match="orthogonality fails"):
+            check(sizes=resized)
+    # a sum that int64 could not hold is refused before any product
+    with pytest.raises(CharacterTableError, match="int64"):
+        check(sizes=[2**60] * len(sizes))
+    with pytest.raises(CharacterTableError, match="sum"):
+        check(degrees=[2] + degrees[1:])
+
+
+def test_gl2f5_table_multiplies_few_elements():
+    # a deterministic guard on the work: one product per element for each
+    # generator, and a few per inverse; per-element class sums took ~12k
+    group = catalog.named_group("gl2fp:5")
+    calls = 0
+    mul = group.mul
+
+    def counting(i, j):
+        nonlocal calls
+        calls += 1
+        return mul(i, j)
+
+    group.mul = counting
+    character_table_small(group)
+    assert 0 < calls <= 2000, calls
 
 
 def _class_function_values(classes):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from matchdens.cyclotomic import CycValue, cyclotomic_polynomial
+from matchdens.cyclotomic import CycValue, cyclotomic_polynomial, power_basis_matrix
 
 
 def test_known_cyclotomic_polynomials():
@@ -140,3 +141,33 @@ def test_sort_key_total_and_stable():
     assert all(k == tuple(int(c) for c in v.embed(12).canonical()) for k, v in zip(keys, vals))
     with pytest.raises(ValueError):
         (CycValue.root_of_unity(6) * Fraction(1, 2)).sort_key(12)
+
+
+def test_power_basis_matrix_rows_are_roots_of_unity():
+    for e in range(1, 421):
+        m = power_basis_matrix(e)
+        assert m.shape == (e, len(cyclotomic_polynomial(e)) - 1)
+        assert not m.flags.writeable
+        for k in range(e):
+            assert tuple(m[k].tolist()) == CycValue.root_of_unity(e, k).sort_key(e), (e, k)
+
+
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15, 24]).flatmap(
+        lambda e: st.tuples(
+            st.just(e),
+            st.lists(st.integers(-5, 5), min_size=e, max_size=e),
+        )
+    )
+)
+def test_from_power_basis_is_the_reduced_sum(case):
+    e, mults = case
+    coords = (np.array(mults) @ power_basis_matrix(e)).tolist()
+    value = CycValue.from_power_basis(e, coords)
+    assert value == CycValue(e, dict(enumerate(mults)))
+    assert value.sort_key(e) == tuple(coords)
+
+
+def test_from_power_basis_needs_phi_coordinates():
+    with pytest.raises(ValueError):
+        CycValue.from_power_basis(12, [1, 0, 0])

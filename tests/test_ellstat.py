@@ -408,6 +408,58 @@ def test_resolve_scalar_histograms_pinned():
     assert hashlib.sha256(repr(samples).encode()).hexdigest() == RESOLVE_SHA256
 
 
+def _affine_multiple(k, point, a, q):
+    """k * point on y^2 = x^3 + a x + b over F_q in affine coordinates; None is O."""
+
+    def add(u, v):
+        if u is None or v is None:
+            return v if u is None else u
+        (x1, y1), (x2, y2) = u, v
+        if x1 == x2 and (y1 + y2) % q == 0:
+            return None
+        if u == v:
+            slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+        x3 = (slope * slope - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
+
+    out = None
+    for bit in bin(k)[2:]:
+        out = add(out, out)
+        if bit == "1":
+            out = add(out, point)
+    return out
+
+
+def test_scalar_test_leaves_the_rng_where_a_point_by_point_test_would():
+    # the eight points go through one kernel call; the rng stream must still
+    # match a loop that stops drawing at the first point that survives
+    curve, p = Curve(2, -3), 3
+    outcomes = set()
+    for q in (q for q in sieve_primes(2000).tolist() if q > 3):
+        if curve.discriminant() % q == 0:
+            continue
+        n_points = count_points(curve, q)
+        if (q - 1) % p or n_points % (p * p):
+            continue
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = ellstat._resolve_ambiguous(curve, q, q + 1 - n_points, p, rng)
+            want = "central"
+            for drawn in range(1, 9):
+                point = ellstat._random_point(curve, q, ref)
+                if _affine_multiple(n_points // p, point, curve.a % q, q) is not None:
+                    want = AMBIGUOUS
+                    break
+            assert got == want and rng.getstate() == ref.getstate(), (q, seed)
+            outcomes.add((want, drawn))
+    # both outcomes, and survivors both at the first draw and later
+    assert ("central", 8) in outcomes
+    assert {drawn for want, drawn in outcomes if want == AMBIGUOUS} - {1}
+    assert (AMBIGUOUS, 1) in outcomes
+
+
 def test_parse_curve_file():
     curves = parse_curve_file("-16 16 37 37a\n0 1\n# comment\n\n-1 0 # tail comment\n")
     assert len(curves) == 3
