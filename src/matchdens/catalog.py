@@ -1,11 +1,14 @@
 """Named constructors for the built-in groups addressable from the CLI.
 
 Recognized names: trivial, cyclic:n, q8, s3, d4, sl2f3, gl2fp:p, heisenberg:3.
+Each group's `op` multiplies element indices with numpy arithmetic on the
+index (or on the entries it codes), so one call multiplies whole arrays.
 """
 
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
+from typing import Callable
 
 import numpy as np
 
@@ -16,94 +19,76 @@ GL2_ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
 
 
 def trivial_group() -> FiniteGroup:
-    return FiniteGroup([0], lambda a, b: 0, name="trivial")
+    return FiniteGroup([0], lambda i, j: i * j, name="trivial")  # 0 * 0 = 0
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
-    return FiniteGroup(
-        range(n),
-        lambda a, b: (a + b) % n,
-        name=f"cyclic:{n}",
-        inverse=lambda a: (-a) % n,
-        generators=[1 % n],
-    )
+    return FiniteGroup(range(n), lambda i, j: (i + j) % n, name=f"cyclic:{n}", generators=[1 % n])
 
 
-# unit part of the quaternion product: _Q8_UNITS[u][v] = (sign flip, unit)
-_Q8_UNITS = (
-    ((0, 0), (0, 1), (0, 2), (0, 3)),
-    ((0, 1), (1, 0), (0, 3), (1, 2)),
-    ((0, 2), (1, 3), (1, 0), (0, 1)),
-    ((0, 3), (0, 2), (1, 1), (1, 0)),
-)
+# units 1, i, j, k multiply as u v = (-1)^_Q8_FLIP[u][v] (u xor v)
+_Q8_FLIP = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion_group() -> FiniteGroup:
-    """Q8 with handles (sign, unit): unit 0..3 reads 1, i, j, k."""
+    """Q8 with handles (sign, unit): unit 0..3 reads 1, i, j, k; index 4 sign + unit."""
 
-    def op(x, y):
-        flip, unit = _Q8_UNITS[x[1]][y[1]]
-        return ((x[0] + y[0] + flip) % 2, unit)
+    def op(i, j):
+        (s, u), (t, v) = np.divmod(i, 4), np.divmod(j, 4)
+        return (s + t + _Q8_FLIP[u, v]) % 2 * 4 + (u ^ v)
 
     elements = [(s, u) for s in (0, 1) for u in range(4)]
     return FiniteGroup(elements, op, name="q8", generators=[(0, 1), (0, 2)])
 
 
 def symmetric3_group() -> FiniteGroup:
-    perms = [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ]
+    """Permutations of three points in lexicographic order, (x y)(k) = x(y(k))."""
+    perms = np.array(list(permutations(range(3))))
+    position = np.full(27, -1)
+    position[perms @ (9, 3, 1)] = np.arange(6)
 
-    def op(a, b):
-        return tuple(a[b[i]] for i in range(3))
+    def op(i, j):
+        return position[perms[np.asarray(i)[..., None], perms[j]] @ (9, 3, 1)]
 
     return FiniteGroup(perms, op, name="s3", generators=[(1, 0, 2), (1, 2, 0)])
 
 
 def dihedral4_group() -> FiniteGroup:
-    """Symmetries of the square, handles (rotation mod 4, flip)."""
+    """Symmetries of the square, handles (rotation mod 4, flip); index 4 flip + rotation."""
 
-    def op(x, y):
-        r1, f1 = x
-        r2, f2 = y
-        return ((r1 + (r2 if f1 == 0 else -r2)) % 4, (f1 + f2) % 2)
+    def op(i, j):
+        (f, r), (g, s) = np.divmod(i, 4), np.divmod(j, 4)
+        return (f + g) % 2 * 4 + (r + s - 2 * f * s) % 4  # r + (-1)^f s
 
     elements = [(r, f) for f in (0, 1) for r in range(4)]
     return FiniteGroup(elements, op, name="d4", generators=[(1, 0), (0, 1)])
 
 
-def _mat_mul_mod(x, y, p):
-    return (
-        (x[0] * y[0] + x[1] * y[2]) % p,
-        (x[0] * y[1] + x[1] * y[3]) % p,
-        (x[2] * y[0] + x[3] * y[2]) % p,
-        (x[2] * y[1] + x[3] * y[3]) % p,
-    )
+def _matrices(p: int, det_ok: Callable) -> tuple[np.ndarray, Callable]:
+    """The 2x2 matrices over F_p whose determinants pass det_ok, as rows
+    a, b, c, d of one array, in lexicographic order; and their product on
+    indices, computed on the entries and found again by its base-p code."""
+    codes = np.arange(p**4)
+    a, b, c, d = codes // p**3, codes // p**2 % p, codes // p % p, codes % p
+    keep = det_ok((a * d - b * c) % p)
+    matrices = np.stack([a[keep], b[keep], c[keep], d[keep]])
+    position = np.full(p**4, -1)
+    position[keep] = np.arange(matrices.shape[1])
 
+    def op(i, j):
+        (a, b, c, d), (w, x, y, z) = matrices[:, i], matrices[:, j]
+        top = (a * w + b * y) % p * p + (a * x + b * z) % p
+        return position[(top * p + (c * w + d * y) % p) * p + (c * x + d * z) % p]
 
-def _mat_inv_mod(x, p):
-    det = (x[0] * x[3] - x[1] * x[2]) % p
-    dinv = pow(det, -1, p)
-    return ((x[3] * dinv) % p, (-x[1] * dinv) % p, (-x[2] * dinv) % p, (x[0] * dinv) % p)
+    return matrices, op
 
 
 def sl2f3_group() -> FiniteGroup:
     """The binary tetrahedral group, realized as SL2 over the field with three elements."""
-    p = 3
-    elements = [
-        m
-        for m in iproduct(range(p), repeat=4)
-        if (m[0] * m[3] - m[1] * m[2]) % p == 1
-    ]
-    return FiniteGroup(
-        elements,
-        lambda x, y: _mat_mul_mod(x, y, p),
-        name="sl2f3",
-        inverse=lambda x: _mat_inv_mod(x, p),
-        generators=[(1, 1, 0, 1), (0, 1, 2, 0)],
-    )
+    matrices, op = _matrices(3, lambda det: det == 1)
+    return FiniteGroup(matrices.T, op, name="sl2f3", generators=[(1, 1, 0, 1), (0, 1, 2, 0)])
 
 
 def gl2_group(p: int) -> FiniteGroup:
@@ -116,14 +101,10 @@ def gl2_group(p: int) -> FiniteGroup:
     """
     if p > GL2_ENUMERATION_MAX_P:
         raise ValueError(f"gl2fp enumeration is bounded at p <= {GL2_ENUMERATION_MAX_P}")
-    elements = [
-        m
-        for m in iproduct(range(p), repeat=4)
-        if (m[0] * m[3] - m[1] * m[2]) % p != 0
-    ]
+    matrices, op = _matrices(p, lambda det: det != 0)
 
     def classified_labels(group: FiniteGroup) -> np.ndarray:
-        a, b, c, d = np.array(group.elements, dtype=np.int64).T
+        a, b, c, d = matrices
         scalar = (b == 0) & (c == 0) & (a == d)
         return (scalar * p + (a + d) % p) * p + (a * d - b * c) % p
 
@@ -131,33 +112,24 @@ def gl2_group(p: int) -> FiniteGroup:
     # diag(1, 1) is the identity, and the swap [[0, 1], [1, 0]] takes its place
     first = (primitive_root(p), 0, 0, 1) if p > 2 else (0, 1, 1, 0)
     return FiniteGroup(
-        elements,
-        lambda x, y: _mat_mul_mod(x, y, p),
+        matrices.T,
+        op,
         name=f"gl2fp:{p}",
-        inverse=lambda x: _mat_inv_mod(x, p),
         generators=[first, ((p - 1) % p, 1, (p - 1) % p, 0)],
         class_labels=classified_labels,
     )
 
 
 def heisenberg3_group() -> FiniteGroup:
-    """Upper unitriangular 3x3 matrices over F_3, handles (a, b, c)."""
-    p = 3
+    """Upper unitriangular 3x3 matrices over F_3, handles (a, b, c); index 9a + 3b + c."""
 
-    def op(x, y):
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
+    def op(i, j):
+        a, b, c = i // 9, i // 3 % 3, i % 3
+        x, y, z = j // 9, j // 3 % 3, j % 3
+        return (a + x) % 3 * 9 + (b + y) % 3 * 3 + (c + z + a * y) % 3
 
-    def inverse(x):
-        return ((-x[0]) % p, (-x[1]) % p, (-x[2] + x[0] * x[1]) % p)
-
-    elements = [t for t in iproduct(range(p), repeat=3)]
-    return FiniteGroup(
-        elements,
-        op,
-        name="heisenberg:3",
-        inverse=inverse,
-        generators=[(1, 0, 0), (0, 1, 0)],
-    )
+    elements = list(iproduct(range(3), repeat=3))
+    return FiniteGroup(elements, op, name="heisenberg:3", generators=[(1, 0, 0), (0, 1, 0)])
 
 
 def named_group(name: str) -> FiniteGroup:

@@ -7,10 +7,8 @@ central character values.  Every stage after the conjugacy classes works on
 int64 numpy arrays:
 
 - structure constants: for each class representative z, the permutation
-  x -> x z of element indices is composed from the generators' right-regular
-  permutations along a breadth-first word for z (a group without declared
-  generators uses its representatives, which always generate it), and one
-  bincount over pairs of classes counts the x^-1 z;
+  x -> x z of element indices is one call of the group's product over all
+  indices, and one bincount over pairs of classes counts the x^-1 z;
 - eigenspaces over F_l, with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)):
   images and coordinates are matrix products mod l, each restricted
   characteristic polynomial is evaluated at all of F_l at once, and one
@@ -163,8 +161,9 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
     n = group.order
     class_of = np.asarray(part.class_of)
-    inv_of = np.array([group.inv(i) for i in range(n)])
-    perms = _right_regular(group, part.representatives)
+    indices = np.arange(n)
+    inv_of = group.inv(indices)
+    perms = [group.mul(indices, z) for z in part.representatives]
     cycles = [class_of[_power_cycle(perm, group.identity)] for perm in perms]
     exponent = lcm(*map(len, cycles))
     l = _choose_modulus(n, exponent)
@@ -213,47 +212,6 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     return [
         ClassFunction(group, values[c], name=f"chi{idx}") for idx, c in enumerate(order)
     ]
-
-
-def _right_regular(group: FiniteGroup, reps) -> list[np.ndarray]:
-    """The permutation x -> x z of element indices, for each z in reps.
-
-    Each generator's permutation costs |G| products; every other one is
-    composed from those along a breadth-first word.  Without declared
-    generators the non-identity representatives serve: a proper subgroup
-    never meets every conjugacy class, so they generate the group.
-    """
-    n, e = group.order, group.identity
-    gens = group.generator_indices
-    if gens is None:
-        gens = [z for z in reps if z != e]
-    gen_perms = [np.array([group.mul(x, g) for x in range(n)]) for g in gens]
-    parent = {e: None}
-    frontier, wanted = [e], set(reps) - {e}
-    steps = [perm.tolist() for perm in gen_perms]
-    while frontier and wanted:
-        reached = []
-        for x in frontier:
-            for s, step in enumerate(steps):
-                y = step[x]
-                if y not in parent:
-                    parent[y] = (x, s)
-                    reached.append(y)
-                    wanted.discard(y)
-        frontier = reached
-    if wanted:
-        raise CharacterTableError("the generators do not reach every conjugacy class")
-    # y = x g: x' y = (x' x) g, so the permutation of y is g's after x's
-    composed = {e: np.arange(n)}
-    for z in reps:
-        path = []
-        while z not in composed:
-            path.append(z)
-            z = parent[z][0]
-        for y in reversed(path):
-            x, s = parent[y]
-            composed[y] = gen_perms[s][composed[x]]
-    return [composed[z] for z in reps]
 
 
 def _power_cycle(perm: np.ndarray, identity: int) -> list[int]:

@@ -1,13 +1,18 @@
 """Explicit finite-group machinery.
 
-Groups are finite sets of hashable element handles with a multiplication
-callable; every element also gets a stable integer index (its position in the
-element list), and all heavy computations run on indices.  Conjugacy classes
-come from one label per element (ConjClassPartition.from_labels): a group's
-`class_labels` hook when it has one, otherwise the least index of each orbit
-under conjugation.  Class functions with exact cyclotomic values, direct and
-fiber products (tables assembled from the factors' tables), quotient maps, and
-the exact matching / zero fractions live here.
+A group is a multiplication of element indices 0 .. order-1: `op(i, j)`
+returns the index of the product, elementwise over numpy int arrays (plain
+ints work too).  Every product the module takes goes through it: `mul`, the
+dense table, the identity, the inverses, the conjugation rows and the
+character table's right-regular permutations.  Element handles (hashable
+values such as matrices as tuples) appear only at the edges: `element`,
+`elements`, `index_of`, pulling class functions back along handle maps, and
+JSON.  Conjugacy classes come from one label per element
+(ConjClassPartition.from_labels): a group's `class_labels` hook when it has
+one, otherwise the least index of each orbit under conjugation.  Class
+functions with exact cyclotomic values, direct and fiber products (multiplied
+through the factors' products), quotient maps, and the exact matching / zero
+fractions live here.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ FULL_ASSOCIATIVITY_LIMIT = 200  # exhaustive associativity check up to this orde
 FULL_HOMOMORPHISM_LIMIT = 2048  # exhaustive homomorphism check up to this source order
 ORBIT_NO_GENERATORS_LIMIT = 20000  # orbit labelling without generators up to this order
 ORDER_LIMIT = 10**6
+BLOCK_ENTRIES = 1 << 14  # products per call when rows go in blocks: bounds the temporaries
 
 
 class InvalidGroupError(ValueError):
@@ -70,141 +76,181 @@ class ConjClassPartition:
         )
 
 
-class FiniteGroup:
-    """A finite group on explicit element handles.
+def _least_in_orbits(n: int, rows: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
+    """Least index in the orbit of each of 0 .. n-1 under the maps that
+    rows() yields (blocks of index arrays x -> row[x]; called once per pass).
 
-    Handles must be hashable; `op` multiplies handles.  `generators` (handle
-    list) enables scalable conjugacy computations; without it every element is
-    treated as a generator, which is fine up to a few thousand elements.
-    `class_labels(group)`, when given, returns one label per element such that
-    two elements are conjugate exactly when their labels are equal.
+    For each map, the larger of the labels of x and row[x] is pointed at the
+    smaller; pointer jumping (least[least]) then moves every element to its
+    label's label.  A pass that changes nothing leaves each orbit on its
+    least index.
+    """
+    least = np.arange(n)
+    while True:
+        before = least.copy()
+        for row in rows():
+            ours, theirs = least, least[row]
+            np.minimum.at(least, np.maximum(ours, theirs), np.minimum(ours, theirs))
+        while not np.array_equal(jumped := least[least], least):
+            least = jumped
+        if np.array_equal(least, before):
+            return least
+
+
+class FiniteGroup:
+    """A finite group whose operation multiplies element indices.
+
+    `op(i, j)` returns the index of the product of elements i and j,
+    elementwise over numpy int arrays that broadcast together; a result
+    outside [0, order) raises InvalidGroupError.  `elements` gives the
+    handles: a sequence of hashable values, or a 2-D int array whose rows,
+    as tuples of ints, are the handles (built only when asked for).  Up to
+    TABLE_LIMIT elements, `ensure_table` caches every product in an int32
+    table; `mul` then reads it, and so do the orbit search without
+    generators, validation and the commutator subgroup, which ask for it.
+
+    `generators` (handles) enables scalable conjugacy computations; they are
+    checked to generate the group at their first use.  Without them every
+    element is treated as a generator, which is fine up to a few thousand
+    elements.  `class_labels(group)`, when given, returns one label per
+    element such that two elements are conjugate exactly when their labels
+    are equal.
     """
 
     def __init__(
         self,
-        elements: Sequence[Hashable],
+        elements: Sequence[Hashable] | np.ndarray,
         op: Callable,
         *,
         name: str = "",
-        inverse: Callable | None = None,
         generators: Sequence[Hashable] | None = None,
         class_labels: Callable | None = None,
     ):
-        self._elements = list(elements)
+        if isinstance(elements, np.ndarray) and elements.ndim != 2:
+            raise InvalidGroupError("an array of element handles must be 2-D")
+        self._elements = elements if isinstance(elements, np.ndarray) else list(elements)
         self.order = len(self._elements)
         if self.order == 0:
             raise InvalidGroupError("a group needs at least one element")
         if self.order > ORDER_LIMIT:
             raise OrderBoundExceededError(f"order {self.order} exceeds bound {ORDER_LIMIT}")
-        self._index = {}
-        for i, e in enumerate(self._elements):
-            if e in self._index:
-                raise InvalidGroupError(f"duplicate element handle {e!r}")
-            self._index[e] = i
         self._op = op
-        self._inv_fn = inverse
         self.name = name
+        self._index: dict | None = None
         self._table: np.ndarray | None = None
-        self._inverses: list[int] | None = None
+        self._inverses: np.ndarray | None = None
         self._classes: ConjClassPartition | None = None
         self._validated = False
         self._class_labels = class_labels
-        if generators is None:
-            self.generator_indices: tuple[int, ...] | None = None
-        else:
-            self.generator_indices = tuple(self._index[g] for g in generators)
+        self._generators = None if generators is None else list(generators)
+        self._generator_indices: tuple[int, ...] | None = None
         self.identity = self._find_identity()
 
-    # -- basic access
+    # -- handles
 
     def element(self, i: int) -> Hashable:
-        return self._elements[i]
+        e = self._elements[i]
+        return tuple(e.tolist()) if isinstance(self._elements, np.ndarray) else e
 
     @property
     def elements(self) -> list:
+        if isinstance(self._elements, np.ndarray):
+            return [tuple(row) for row in self._elements.tolist()]
         return list(self._elements)
 
     def index_of(self, handle: Hashable) -> int:
+        if self._index is None:
+            index = {e: i for i, e in enumerate(self.elements)}
+            if len(index) != self.order:
+                raise InvalidGroupError(f"{self} has duplicate element handles")
+            self._index = index
         try:
             return self._index[handle]
         except KeyError:
             raise InvalidGroupError(f"{handle!r} is not an element of {self}") from None
 
     def __contains__(self, handle: Hashable) -> bool:
-        return handle in self._index
+        try:
+            self.index_of(handle)
+        except InvalidGroupError:
+            return False
+        return True
 
     def __repr__(self) -> str:
         label = self.name or "group"
         return f"FiniteGroup({label}, order={self.order})"
 
+    @property
+    def generator_indices(self) -> tuple[int, ...] | None:
+        """Indices of the declared generators, checked once to generate the group."""
+        if self._generators is not None and self._generator_indices is None:
+            gens = tuple(self.index_of(g) for g in self._generators)
+            if len(self.subgroup_closure(gens)) != self.order:
+                raise InvalidGroupError(f"the declared generators do not generate {self}")
+            self._generator_indices = gens
+        return self._generator_indices
+
     # -- multiplication on indices
 
     def _find_identity(self) -> int:
-        x0 = self._elements[0]
-        for i, e in enumerate(self._elements):
-            if self._op(e, x0) == x0 and self._op(x0, e) == x0:
-                return i
-        raise InvalidGroupError("no identity element found")
+        """The first e with e x0 = x0 = x0 e, x0 being element 0."""
+        idx = np.arange(self.order)
+        hits = np.flatnonzero((self.mul(idx, 0) == 0) & (self.mul(0, idx) == 0))
+        if not hits.size:
+            raise InvalidGroupError("no identity element found")
+        return int(hits[0])
 
-    def mul(self, i: int, j: int) -> int:
+    def mul(self, i, j):
+        """Index of the product of elements i and j, elementwise over int arrays."""
         if self._table is not None:
-            return int(self._table[i, j])
-        prod = self._op(self._elements[i], self._elements[j])
-        try:
-            return self._index[prod]
-        except KeyError:
-            raise InvalidGroupError(f"product {prod!r} falls outside the element set") from None
+            prod = self._table[i, j]
+        else:
+            prod = np.asarray(self._op(i, j))
+            if prod.size and (prod.min() < 0 or prod.max() >= self.order):
+                raise InvalidGroupError(f"a product falls outside [0, {self.order})")
+        return int(prod) if prod.ndim == 0 else prod
+
+    def _row_blocks(self, indices) -> Iterator[np.ndarray]:
+        """Consecutive blocks of the given indices, each small enough that one
+        row per index holds at most BLOCK_ENTRIES products (one row at least)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        step = max(1, BLOCK_ENTRIES // self.order)
+        return (indices[k:k + step] for k in range(0, len(indices), step))
 
     def ensure_table(self) -> None:
         """Materialize the dense multiplication table (order <= TABLE_LIMIT only)."""
         if self._table is not None or self.order > TABLE_LIMIT:
             return
-        n = self.order
-        table = np.empty((n, n), dtype=np.int32)
-        idx = self._index
-        els = self._elements
-        op = self._op
-        for i in range(n):
-            a = els[i]
-            row = table[i]
-            for j in range(n):
-                prod = op(a, els[j])
-                try:
-                    row[j] = idx[prod]
-                except KeyError:
-                    raise InvalidGroupError(
-                        f"product {prod!r} falls outside the element set"
-                    ) from None
+        idx = np.arange(self.order)
+        table = np.empty((self.order, self.order), dtype=np.int32)
+        for rows in self._row_blocks(idx):  # no order^2 temporaries
+            table[rows] = self.mul(rows[:, None], idx)
         self._table = table
 
-    def inv(self, i: int) -> int:
+    def inv(self, i):
+        """Index of the inverse of element i, elementwise over int arrays.
+
+        All inverses are computed at the first call as x^(order - 1), by
+        square-and-multiply over every element at once (x^order = 1 in a
+        group), and checked two-sided once.
+        """
         if self._inverses is None:
-            self._inverses = [-1] * self.order
-        cached = self._inverses[i]
-        if cached >= 0:
-            return cached
-        if self._inv_fn is not None:
-            j = self._index[self._inv_fn(self._elements[i])]
-        elif i == self.identity:
-            j = i
-        else:
-            # cycle through powers: g^(ord(g)-1) is the inverse; in a group
-            # the cycle closes within |G| steps
-            prev, cur = i, self.mul(i, i)
-            steps = 1
-            while cur != self.identity:
-                prev, cur = cur, self.mul(cur, i)
-                steps += 1
-                if steps > self.order:
-                    raise InvalidGroupError(
-                        f"element index {i} has no two-sided inverse"
-                    )
-            j = prev
-        if self.mul(i, j) != self.identity or self.mul(j, i) != self.identity:
-            raise InvalidGroupError(f"element index {i} has no two-sided inverse")
-        self._inverses[i] = j
-        self._inverses[j] = i
-        return j
+            idx = np.arange(self.order)
+            power, base, k = np.full(self.order, self.identity), idx, self.order - 1
+            while k:
+                if k & 1:
+                    power = self.mul(power, base)
+                k >>= 1
+                if k:
+                    base = self.mul(base, base)
+            e = self.identity
+            bad = np.flatnonzero((self.mul(idx, power) != e) | (self.mul(power, idx) != e))
+            if bad.size:
+                raise InvalidGroupError(f"element index {bad[0]} has no two-sided inverse")
+            power.setflags(write=False)
+            self._inverses = power
+        inverse = self._inverses[i]
+        return int(inverse) if np.ndim(inverse) == 0 else inverse
 
     # -- structure checks
 
@@ -213,34 +259,31 @@ class FiniteGroup:
         up to order FULL_ASSOCIATIVITY_LIMIT, seeded-sample associativity above."""
         if self._validated:
             return
-        e = self.identity
-        for i in range(self.order):
-            if self.mul(e, i) != i or self.mul(i, e) != i:
-                raise InvalidGroupError("identity is not two-sided neutral")
-        for i in range(self.order):
-            j = self.inv(i)
-            if self.mul(i, j) != e or self.mul(j, i) != e:
-                raise InvalidGroupError(f"element index {i} has no two-sided inverse")
-        n = self.order
+        n, e = self.order, self.identity
+        idx = np.arange(n)
+        if not ((self.mul(e, idx) == idx) & (self.mul(idx, e) == idx)).all():
+            raise InvalidGroupError("identity is not two-sided neutral")
         if n <= FULL_ASSOCIATIVITY_LIMIT:
             self.ensure_table()
             t = self._table.astype(np.uint8)  # indices < 200: each n^3 array < 8 MB
-            # (ab)c against a(bc) for every triple; the first mismatch is re-checked below
-            triples = np.argwhere(t[t] != t[np.arange(n)[:, None, None], t])[:1]
+            # (ab)c against a(bc) for every triple
+            bad = np.argwhere(t[t] != t[idx[:, None, None], t])
         else:
             triples = np.random.default_rng(0).integers(0, n, size=(2000, 3))
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise InvalidGroupError(f"associativity fails at indices ({a},{b},{c})")
+            a, b, c = triples.T
+            bad = triples[self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c))]
+        if len(bad):
+            raise InvalidGroupError(f"associativity fails at indices {tuple(bad[0].tolist())}")
+        self.inv(idx)  # x^(order - 1), which needs associativity to be the inverse
         self._validated = True
 
     def center_indices(self) -> list[int]:
         gens = self.generator_indices or range(self.order)
-        out = []
-        for i in range(self.order):
-            if all(self.mul(i, g) == self.mul(g, i) for g in gens):
-                out.append(i)
-        return out
+        idx = np.arange(self.order)
+        central = np.ones(self.order, dtype=bool)
+        for g in gens:
+            central &= self.mul(idx, g) == self.mul(g, idx)
+        return np.flatnonzero(central).tolist()
 
     # -- conjugacy
 
@@ -260,56 +303,36 @@ class FiniteGroup:
         self._classes = ConjClassPartition.from_labels(labels)
         return self._classes
 
-    def _conjugation(self, g: int) -> np.ndarray:
-        """The permutation x -> g x g^-1 of element indices."""
-        gi = self.inv(g)
-        if self._table is not None:
-            return self._table[self._table[g], gi]
-        return np.array([self.mul(self.mul(g, x), gi) for x in range(self.order)])
+    def _conjugation(self, gs: np.ndarray) -> np.ndarray:
+        """Row k is the permutation x -> g x g^-1 of element indices, g = gs[k]."""
+        return self.mul(self.mul(gs[:, None], np.arange(self.order)), self.inv(gs)[:, None])
 
     def _orbit_labels(self) -> np.ndarray:
         """Least element index of every element's conjugacy class.
 
-        For each generator g, the larger of the labels of x and g x g^-1 is
-        pointed at the smaller; pointer jumping (least[least]) then moves every
-        element to its label's label.  A pass that changes nothing leaves each
-        orbit on its least index.  Without generators every element
-        conjugates, one row at a time: nothing of size order^2 but the table.
+        Orbits under conjugation by the generators; without generators every
+        element conjugates, one block of rows at a time on the table: nothing
+        of size order^2 but the table.
         """
         n = self.order
-        if self.generator_indices is None:
+        gens = self.generator_indices
+        if gens is None:
             if n > ORBIT_NO_GENERATORS_LIMIT:
                 raise OrderBoundExceededError(
                     "conjugacy of a large group needs an explicit generating set"
                 )
             self.ensure_table()
-            rows = None
-        else:
-            rows = [self._conjugation(g) for g in self.generator_indices]
-        least = np.arange(n)
-        while True:
-            before = least.copy()
-            for row in map(self._conjugation, range(n)) if rows is None else rows:
-                ours, theirs = least, least[row]
-                np.minimum.at(least, np.maximum(ours, theirs), np.minimum(ours, theirs))
-            while not np.array_equal(jumped := least[least], least):
-                least = jumped
-            if np.array_equal(least, before):
-                return least
+            return _least_in_orbits(n, lambda: map(self._conjugation, self._row_blocks(range(n))))
+        rows = self._conjugation(np.array(gens))
+        return _least_in_orbits(n, lambda: [rows])
 
     def subgroup_closure(self, seed_indices: Sequence[int]) -> list[int]:
-        """Indices of the subgroup generated by the given element indices."""
-        closure = {self.identity}
-        frontier = [self.identity]
-        seeds = [*{*seed_indices}]
-        while frontier:
-            x = frontier.pop()
-            for s in seeds:
-                for y in (self.mul(x, s), self.mul(x, self.inv(s))):
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-        return sorted(closure)
+        """Indices of the subgroup generated by the given element indices: the
+        orbit of the identity under right multiplication by them."""
+        idx = np.arange(self.order)
+        blocks = list(self._row_blocks(np.unique(np.asarray(seed_indices, dtype=np.int64))))
+        least = _least_in_orbits(self.order, lambda: (self.mul(idx, s[:, None]) for s in blocks))
+        return np.flatnonzero(least == least[self.identity]).tolist()
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjClassPartition:
@@ -320,52 +343,25 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClassPartition:
 # -- products
 
 
-class _PairGroup(FiniteGroup):
+def _pair_group(g: FiniteGroup, h: FiniteGroup, pairs: np.ndarray, **kwargs) -> FiniteGroup:
     """Pairs (x, y) of elements of two factor groups, multiplied componentwise.
 
     Element k is the pair of factor indices divmod(pairs[k], |h|), with
-    `pairs` ascending, so elements run through g's index, then h's.  The
-    multiplication table is assembled from the factors' tables by index
-    arithmetic rather than from handle products.
+    `pairs` ascending, so elements run through g's index, then h's.  A
+    product of pairs is looked up by its code through `position`; a pair
+    outside `pairs` reads -1, which `mul` refuses.
     """
+    nh = h.order
+    left, right = np.divmod(pairs, nh)
+    position = np.full(g.order * nh, -1)
+    position[pairs] = np.arange(len(pairs))
 
-    def __init__(self, g: FiniteGroup, h: FiniteGroup, pairs: np.ndarray, **kwargs):
-        self.factors = (g, h)
-        self._pairs = pairs
-        g_op, h_op = g._op, h._op
+    def op(x, y):
+        return position[g.mul(left[x], left[y]) * nh + h.mul(right[x], right[y])]
 
-        def op(x, y):
-            return (g_op(x[0], y[0]), h_op(x[1], y[1]))
-
-        def inverse(x):
-            return (g.element(g.inv(g.index_of(x[0]))), h.element(h.inv(h.index_of(x[1]))))
-
-        g_els, h_els = g.elements, h.elements
-        i, j = np.divmod(pairs, h.order)
-        elements = [(g_els[a], h_els[b]) for a, b in zip(i.tolist(), j.tolist())]
-        super().__init__(elements, op, inverse=inverse, **kwargs)
-
-    def ensure_table(self) -> None:
-        """Row k of the table is position[G[i_k, i] * |h| + H[j_k, j]].
-
-        The product is at least as large as either factor, so when it fits
-        TABLE_LIMIT both factor tables do too.
-        """
-        if self._table is not None or self.order > TABLE_LIMIT:
-            return
-        g, h = self.factors
-        g.ensure_table()
-        h.ensure_table()
-        n, nh = self.order, h.order
-        position = np.full(g.order * nh, -1, dtype=np.int32)
-        position[self._pairs] = np.arange(n)
-        i, j = np.divmod(self._pairs, nh)
-        table = np.empty((n, n), dtype=np.int32)
-        for k in range(n):  # row by row: no order^2 temporaries
-            table[k] = position[g._table[i[k], i] * nh + h._table[j[k], j]]
-        if table.min() < 0:
-            raise InvalidGroupError("a product of pairs falls outside the element set")
-        self._table = table
+    g_els, h_els = g.elements, h.elements
+    elements = [(g_els[a], h_els[b]) for a, b in zip(left.tolist(), right.tolist())]
+    return FiniteGroup(elements, op, **kwargs)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteGroup:
@@ -390,7 +386,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteG
         part_h = h.conjugacy_classes()
         return np.add.outer(class_of_g * len(part_h), part_h.class_of).ravel()
 
-    return _PairGroup(
+    return _pair_group(
         g,
         h,
         np.arange(g.order * h.order),
@@ -418,56 +414,50 @@ class QuotientMap:
         if len(set(self.mapping)) != self.target.order:
             raise InvalidGroupError("map is not surjective")
         n = self.source.order
+        image, idx = np.asarray(self.mapping), np.arange(n)
         if n <= FULL_HOMOMORPHISM_LIMIT:
-            pairs = ((i, j) for i in range(n) for j in range(n))
+            blocks = self.source._row_blocks(idx)
+            pairs = (np.broadcast_arrays(rows[:, None], idx) for rows in blocks)
         else:
-            rng = np.random.default_rng(0)
-            pairs = (tuple(t) for t in rng.integers(0, n, size=(4000, 2)))
+            pairs = [np.random.default_rng(0).integers(0, n, size=(4000, 2)).T]
         for i, j in pairs:
-            if self.mapping[self.source.mul(i, j)] != self.target.mul(
-                self.mapping[i], self.mapping[j]
-            ):
-                raise InvalidGroupError(f"not a homomorphism at indices ({i},{j})")
+            bad = np.argwhere(image[self.source.mul(i, j)] != self.target.mul(image[i], image[j]))
+            if len(bad):
+                k = tuple(bad[0])
+                raise InvalidGroupError(f"not a homomorphism at indices ({i[k]},{j[k]})")
 
 
 def quotient_by(group: FiniteGroup, normal_indices: Sequence[int], *, name: str = "") -> QuotientMap:
     """Quotient map G -> G/N for a normal subgroup given by element indices.
 
     Cosets are labelled by their minimal element index, which also fixes the
-    ordering of the quotient's elements.
+    ordering of the quotient's elements; the quotient multiplies coset
+    representatives in G.
     """
-    nset = set(normal_indices)
-    if group.identity not in nset:
+    members = np.unique(np.asarray(normal_indices, dtype=np.int64))
+    in_n = np.zeros(group.order, dtype=bool)
+    in_n[members] = True
+    if not in_n[group.identity]:
         raise InvalidGroupError("normal subgroup must contain the identity")
-    for a in nset:
-        for b in nset:
-            if group.mul(a, b) not in nset:
-                raise InvalidGroupError("subgroup is not closed under multiplication")
-    gens = group.generator_indices or range(group.order)
-    for g in gens:
-        gi = group.inv(g)
-        for x in nset:
-            if group.mul(group.mul(g, x), gi) not in nset:
-                raise InvalidGroupError("subgroup is not normal")
-    coset_of = [-1] * group.order
-    reps: list[int] = []
+    for rows in group._row_blocks(members):
+        if not in_n[group.mul(rows[:, None], members)].all():
+            raise InvalidGroupError("subgroup is not closed under multiplication")
+    for gs in group._row_blocks(group.generator_indices or range(group.order)):
+        if not in_n[group.mul(group.mul(gs[:, None], members), group.inv(gs)[:, None])].all():
+            raise InvalidGroupError("subgroup is not normal")
+    coset_of = np.full(group.order, -1)
     for i in range(group.order):
-        if coset_of[i] >= 0:
-            continue
-        members = {group.mul(i, x) for x in nset}
-        rep = min(members)
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = rep
-    reps.sort()
-    rep_index = {r: k for k, r in enumerate(reps)}
+        if coset_of[i] < 0:
+            coset = group.mul(i, members)
+            coset_of[coset] = coset.min()
+    reps = np.unique(coset_of)
+    mapping = np.searchsorted(reps, coset_of)
 
-    def op(a: int, b: int) -> int:
-        return coset_of[group.mul(a, b)]
+    def op(a, b):
+        return mapping[group.mul(reps[a], reps[b])]
 
-    target = FiniteGroup(reps, op, name=name or f"{group.name or 'G'}/N")
-    mapping = tuple(rep_index[coset_of[i]] for i in range(group.order))
-    return QuotientMap(source=group, target=target, mapping=mapping)
+    target = FiniteGroup(reps.tolist(), op, name=name or f"{group.name or 'G'}/N")
+    return QuotientMap(source=group, target=target, mapping=tuple(mapping.tolist()))
 
 
 def commutator_subgroup(group: FiniteGroup) -> list[int]:
@@ -475,12 +465,13 @@ def commutator_subgroup(group: FiniteGroup) -> list[int]:
     if group.order > TABLE_LIMIT:
         raise OrderBoundExceededError("commutator subgroup needs order <= TABLE_LIMIT")
     group.ensure_table()
-    commutators = set()
-    for a in range(group.order):
-        ai = group.inv(a)
-        for b in range(group.order):
-            commutators.add(group.mul(group.mul(a, b), group.mul(ai, group.inv(b))))
-    return group.subgroup_closure(sorted(commutators))
+    idx = np.arange(group.order)
+    inverses = group.inv(idx)
+    commutators = np.zeros(group.order, dtype=bool)
+    for rows in group._row_blocks(idx):
+        left = group.mul(rows[:, None], idx)
+        commutators[group.mul(left, group.mul(inverses[rows, None], inverses))] = True
+    return group.subgroup_closure(np.flatnonzero(commutators))
 
 
 def abelianization(group: FiniteGroup) -> QuotientMap:
@@ -517,7 +508,7 @@ def fiber_product(
         raise InvalidGroupError(
             f"fiber product order {len(pairs)} != |g||h|/|target| = {expected}"
         )
-    return _PairGroup(g, h, pairs, name=name or f"({g.name or 'G'} x_T {h.name or 'H'})")
+    return _pair_group(g, h, pairs, name=name or f"({g.name or 'G'} x_T {h.name or 'H'})")
 
 
 # -- class functions

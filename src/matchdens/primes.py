@@ -12,7 +12,10 @@ import numpy as np
 # forty primes, which is no longer a proof but leaves no realistic doubt.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_ROUNDS_LARGE = 40
+_MR_WITNESSES_LARGE = (
+    *_MR_WITNESSES_64, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101,
+    103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173,
+)
 
 
 @lru_cache(maxsize=8)
@@ -36,16 +39,6 @@ def primes_below(bound: int) -> list[int]:
     return [int(p) for p in ps]
 
 
-@lru_cache(maxsize=2)
-def _first_primes(count: int) -> tuple[int, ...]:
-    limit = max(100, int(count * (math.log(count) + math.log(math.log(count + 2)) + 2)))
-    ps = sieve_primes(limit)
-    while len(ps) < count:
-        limit *= 2
-        ps = sieve_primes(limit)
-    return tuple(int(p) for p in ps[:count])
-
-
 def is_prime(n: int) -> bool:
     """Primality test: trial division by tiny primes, then Miller-Rabin.
 
@@ -62,7 +55,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = _MR_WITNESSES_64 if n < _DETERMINISTIC_LIMIT else _first_primes(_MR_ROUNDS_LARGE)
+    witnesses = _MR_WITNESSES_64 if n < _DETERMINISTIC_LIMIT else _MR_WITNESSES_LARGE
     for a in witnesses:
         a %= n
         if a in (0, 1, n - 1):

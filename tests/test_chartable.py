@@ -12,7 +12,6 @@ from matchdens import catalog, groupcore
 from matchdens.chartable import (
     CharacterTableError,
     _nullspace,
-    _right_regular,
     _rref,
     _structure_constants,
     _verify_table,
@@ -142,10 +141,11 @@ def test_rref_and_nullspace_over_f_l(case):
 
 
 def _symmetric4_without_generators():
-    def op(x, y):
-        return tuple(x[y[i]] for i in range(4))
-
-    return groupcore.FiniteGroup(list(permutations(range(4))), op, name="s4")
+    # tabulated once from the composition of permutation handles
+    perms = list(permutations(range(4)))
+    index = {x: k for k, x in enumerate(perms)}
+    table = np.array([[index[tuple(x[y[i]] for i in range(4))] for y in perms] for x in perms])
+    return groupcore.FiniteGroup(perms, lambda i, j: table[i, j], name="s4")
 
 
 SMALL_GROUPS = [
@@ -160,9 +160,7 @@ def test_structure_constants_equal_a_brute_force_count(name):
     assert group.order <= 200
     part = group.conjugacy_classes()
     r, reps = len(part), part.representatives
-    perms = _right_regular(group, reps)
-    for z, perm in zip(reps, perms):
-        assert perm.tolist() == [group.mul(x, z) for x in range(group.order)]
+    perms = [np.array([group.mul(x, z) for x in range(group.order)]) for z in reps]
     inv_of = np.array([group.inv(x) for x in range(group.order)])
     got = _structure_constants(np.asarray(part.class_of), inv_of, perms)
     want = np.zeros((r, r, r), dtype=np.int64)
@@ -180,12 +178,10 @@ def test_table_of_a_group_without_generators():
 
 
 def test_undeclared_generators_are_refused():
-    def op(x, y):
-        return tuple(x[y[i]] for i in range(3))
-
+    s3 = catalog.symmetric3_group()
     # a transposition alone generates a subgroup of order 2
-    partial = groupcore.FiniteGroup(list(permutations(range(3))), op, generators=[(1, 0, 2)])
-    with pytest.raises(CharacterTableError, match="do not reach"):
+    partial = groupcore.FiniteGroup(s3.elements, s3._op, generators=[(1, 0, 2)])
+    with pytest.raises(groupcore.InvalidGroupError, match="do not generate"):
         character_table_small(partial)
 
 
@@ -232,20 +228,21 @@ def test_gram_check_rejects_broken_tables(form):
 
 
 def test_gl2f5_table_multiplies_few_elements():
-    # a deterministic guard on the work: one product per element for each
-    # generator, and a few per inverse; per-element class sums took ~12k
+    # a deterministic guard on the work: calls into the group's product, each
+    # over every element at once: one per class representative and about
+    # 2 log2 |G| for the inverses.  Per-element products take 480 or more.
     group = catalog.named_group("gl2fp:5")
     calls = 0
-    mul = group.mul
+    op = group._op
 
     def counting(i, j):
         nonlocal calls
         calls += 1
-        return mul(i, j)
+        return op(i, j)
 
-    group.mul = counting
+    group._op = counting
     character_table_small(group)
-    assert 0 < calls <= 2000, calls
+    assert 0 < calls <= 60, calls
 
 
 def _class_function_values(classes):

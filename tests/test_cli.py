@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -121,6 +122,47 @@ def test_fiber_subcommand(capsys):
     )
     assert code == 0
     assert report["result"]["order"] == 48
+
+
+# sha256 of the `chartable` JSON report without elapsed_seconds, dumped with
+# sorted keys: pins every catalog table, its group summary and its order
+CHARTABLE_SHA256 = {
+    "trivial": "d8227cde18b9773e68206c31ae727bede6ecba37e4fd0d7f832413136b39b09f",
+    "cyclic:1": "b6855abcaa35861d86e71d63244f86a1fce3de0e52436d8f72a7d75a42f8b7f1",
+    "cyclic:2": "e6079ec34c0d9d3f2f6eb4600cfff320e9c1dc839a63628d834615f6ce7c9387",
+    "cyclic:3": "19e5c6f8a4371cc4a3da2ce71eacba3320fcd496fa049b4738b335b6944cd94b",
+    "cyclic:4": "2ae9ea7c468fbc8ad6e7b33678c2e0e770d339b0d150fcf905765be2c83e7873",
+    "cyclic:5": "fb948a5abda02497a538532ac57e7ab764e09ddffbc5efb3c68079c64437070d",
+    "cyclic:6": "333ac0c38e3a453fe602aeb9eaef012c3e876794854be921c5ecd5e72cdfbf7a",
+    "cyclic:7": "1293a9112513fdb5b968cc253bf4d1c1332f6ac0af2f156599ead42b161fa9e1",
+    "cyclic:8": "9c9488b35e4f8b75f8461780f2214c60027672979436ffc58b7596c491abe7a6",
+    "cyclic:12": "c26a27c1e447b46db29ff9ba342aac72d0e44159070c88624b9f1b5baf3a9b0d",
+    "cyclic:30": "43c98b1f8ad7f88c6ec1167785ba0f498e93cab6cb4e4b8e58757fd03fd2c761",
+    "q8": "20db64228d6227c48eb923ef130ee528e1f9262f44a6a6a4e2ef276feecf530f",
+    "s3": "820268c6b87f0fc56a78c68395c1dd6272690df844d6c11788f7c7c2f328b623",
+    "d4": "801c4e9332ca6ee27562aadd436dca866e4374c6b5b3742dc334ab2b23ebc260",
+    "sl2f3": "db850c9e10caec9de5a46abd03847c805e4472cc0450e5d5d18a07917abdd185",
+    "heisenberg:3": "3d03e3cae5bdd36461981f2bdd2e5f5e1d4a225c23fe28a7bef327509071113d",
+    "gl2fp:2": "38ed24bc387a52b784385c8b02ea2dbb2b054ca18580181749cadf020ab3336a",
+    "gl2fp:3": "35f053742fef36f42d30d51147e3655f86cb1bc05826478fe690e44d7d5da0d1",
+    "gl2fp:5": "7b15d49d97ddf3065bc9a587e7043a9183f0f2ef573f3a484bc9ba6222633ed5",
+}
+
+
+@pytest.mark.parametrize("name", list(CHARTABLE_SHA256))
+def test_chartable_json_pinned(capsys, name):
+    code, report = _run(capsys, "chartable", "--group", name)
+    assert code == 0
+    del report["elapsed_seconds"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHARTABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name,order", [("gl2fp:7", 2016), ("cyclic:2001", 2001)])
+def test_chartable_refuses_large_groups(capsys, name, order):
+    assert main(["--format", "json", "chartable", "--group", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: order {order} exceeds bound 2000\n" and not captured.out
 
 
 def test_chartable_subcommand(capsys):

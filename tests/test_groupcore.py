@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -91,13 +93,13 @@ def test_invalid_group_reported():
     no_inverse = FiniteGroup(range(4), lambda a, b: (a * b) % 4)
     with pytest.raises(InvalidGroupError):
         no_inverse.conjugacy_classes()  # 0 absorbs: not a group
-    broken = FiniteGroup(range(6), lambda a, b: min(a + b, 5))
+    broken = FiniteGroup(range(6), lambda a, b: np.minimum(a + b, 5))
     with pytest.raises(InvalidGroupError):
         broken.conjugacy_classes()
     # a Latin square with identity 0 in which every element is its own inverse:
     # a loop, but not associative: 1*(1*2) = 4 while (1*1)*2 = 2
     loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-    nonassociative = FiniteGroup(range(5), lambda a, b: loop[a][b])
+    nonassociative = FiniteGroup(range(5), lambda a, b: np.array(loop)[a, b])
     with pytest.raises(InvalidGroupError, match="associativity"):
         nonassociative.validate()
 
@@ -115,33 +117,91 @@ def test_direct_product_orders_and_classes():
 def test_product_classes_match_generic_orbit_search():
     c6, s3 = _group("cyclic:6"), _group("s3")
     prod = direct_product(c6, s3)
-    generic = FiniteGroup(prod.elements, prod._op, inverse=None)
+    generic = FiniteGroup(prod.elements, prod._op)
     assert prod.conjugacy_classes().classes == generic.conjugacy_classes().classes
+
+
+def _sl2_quotient(target):
+    sl2 = catalog.sl2f3_group()
+    if target == "c3":
+        return abelianization(sl2)
+    if target == "a4":
+        return quotient_by(sl2, sl2.center_indices())
+    return quotient_by(sl2, range(sl2.order))
 
 
 def _fresh_group(name):
     """A newly built group, so no table or classes are cached on it yet."""
     if name.startswith(("sl2/", "fiber/")):
-        sl2 = catalog.sl2f3_group()
-        target = name.split("/")[1]
-        if target == "c3":
-            q = abelianization(sl2)
-        elif target == "a4":
-            q = quotient_by(sl2, sl2.center_indices())
-        else:
-            q = quotient_by(sl2, range(sl2.order))
-        return q.target if name.startswith("sl2/") else fiber_product(sl2, sl2, q, q)
+        q = _sl2_quotient(name.split("/")[1])
+        return q.target if name.startswith("sl2/") else fiber_product(q.source, q.source, q, q)
     if " x " in name:
         left, right = name.split(" x ")
         return direct_product(catalog.named_group(left), catalog.named_group(right))
     return catalog.named_group(name)
 
 
-def _handle_table(group):
+# unit part of the quaternion product: _Q8_UNITS[u][v] = (sign flip, unit)
+_Q8_UNITS = (
+    ((0, 0), (0, 1), (0, 2), (0, 3)),
+    ((0, 1), (1, 0), (0, 3), (1, 2)),
+    ((0, 2), (1, 3), (1, 0), (0, 1)),
+    ((0, 3), (0, 2), (1, 1), (1, 0)),
+)
+
+
+def _q8_product(x, y):
+    flip, unit = _Q8_UNITS[x[1]][y[1]]
+    return ((x[0] + y[0] + flip) % 2, unit)
+
+
+def _matrix_product(p):
+    def product(x, y):
+        return (
+            (x[0] * y[0] + x[1] * y[2]) % p,
+            (x[0] * y[1] + x[1] * y[3]) % p,
+            (x[2] * y[0] + x[3] * y[2]) % p,
+            (x[2] * y[1] + x[3] * y[3]) % p,
+        )
+
+    return product
+
+
+def _handle_product(name):
+    """The product of two handles of a named group, from the group's
+    definition on its handles: nothing of the index product it checks."""
+    if name.startswith("fiber/") or " x " in name:
+        left, right = name.split(" x ") if " x " in name else ("sl2f3", "sl2f3")
+        f, g = _handle_product(left), _handle_product(right)
+        return lambda x, y: (f(x[0], y[0]), g(x[1], y[1]))
+    if name.startswith("sl2/"):
+        # handles are the least source indices of the cosets of the kernel
+        q = _sl2_quotient(name[4:])
+        sl2, image = q.source, q.mapping
+        least = {t: image.index(t) for t in set(image)}
+        mat = _matrix_product(3)
+        return lambda a, b: least[image[sl2.index_of(mat(sl2.element(a), sl2.element(b)))]]
+    base, _, arg = name.partition(":")
+    if base in ("trivial", "cyclic"):
+        n = int(arg or 1)
+        return lambda a, b: (a + b) % n
+    if base in ("sl2f3", "gl2fp"):
+        return _matrix_product(int(arg or 3))
+    return {
+        "q8": _q8_product,
+        "s3": lambda a, b: tuple(a[b[k]] for k in range(3)),
+        "d4": lambda x, y: ((x[0] + (y[0] if x[1] == 0 else -y[0])) % 4, (x[1] + y[1]) % 2),
+        "heisenberg": lambda x, y: (
+            (x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3
+        ),
+    }[base]
+
+
+def _handle_table(name, group):
     """The multiplication table built from handle products alone."""
-    els, op = group.elements, group._op
+    els, product = group.elements, _handle_product(name)
     index = {e: k for k, e in enumerate(els)}
-    return np.array([[index[op(a, b)] for b in els] for a in els])
+    return np.array([[index[product(a, b)] for b in els] for a in els])
 
 
 def _brute_force_classes(group, table):
@@ -167,7 +227,7 @@ _ORBIT_GROUPS = (
 @pytest.mark.parametrize("name", _ORBIT_GROUPS)
 def test_orbit_labels_match_brute_force(name):
     group = _fresh_group(name)
-    least, classes = _brute_force_classes(group, _handle_table(group))
+    least, classes = _brute_force_classes(group, _handle_table(name, group))
     assert group._orbit_labels().tolist() == least  # by products, or on a table
     group.ensure_table()
     assert group._orbit_labels().tolist() == least  # on the table
@@ -179,11 +239,76 @@ def test_orbit_labels_match_brute_force(name):
     assert part.class_of == tuple(position[label] for label in least)
 
 
+# sha256 of json.dumps([representatives, sizes, class_of]) for each group's
+# partition: pins every partition, whichever route computed it
+PARTITION_SHA256 = {
+    "gl2fp:2": "5a047ca4cc3a9664b9c5894572f3be1f51404eba23a17f27ebc5f7b10a9de9b2",
+    "gl2fp:3": "6736812182386755c4f5921ce258b9ab0a0023e48aea95be8f47ac8ba0a1ba37",
+    "gl2fp:5": "d4c9a91032230e23e3a6df959863f4e6782f021604333d7380054589160c51c2",
+    "gl2fp:7": "830d40e554913d347fc1f6985c6ecdd6ce6b7fade941a4c3aed5ad6c56b35f91",
+    "gl2fp:11": "4fca8024735d5c821c1615cb5f111f172c7f8d9588bcbe8113996aeef347c0c3",
+    "gl2fp:13": "075d8641121dfeab70834785f80768da62b44015d355a89461efd1c9c11f8d4a",
+    "trivial": "20c9974e80c4194b1869091ccb367ea25a3f4ac9329552bb3767b85483d9f6e7",
+    "cyclic:1": "20c9974e80c4194b1869091ccb367ea25a3f4ac9329552bb3767b85483d9f6e7",
+    "cyclic:2": "02403cd4a751aecaaa860c90551fedd95c27772c464defdb68988450716d5b1c",
+    "cyclic:3": "583a62b46eb436fa49b6a744db420c92acc08239aa0eddedb62508d7d5d91c37",
+    "cyclic:4": "9bbd616651dddea5533161bcdc5ae4cb395aa51eb2e43610429ee4492293f4dc",
+    "cyclic:5": "cf09af7b6b341f0141b4654d53a54b84f10636ba4d293a460f2f9456f3eb6caa",
+    "cyclic:6": "7e7fc3a1307704ae9ceba3285cb8f5669f8b9521b15f7cc6b90bd4cf9ee0618e",
+    "cyclic:7": "5765831b7760097ec27fd21fe1a5dd9d024a33b23f93f0a1f0642e40cbdd969e",
+    "cyclic:8": "e1a4874d1f1325fab93dc2c64fbbe71723291e606fdb9b6c2dd65579a11bded4",
+    "cyclic:12": "e7ea0c78d5d63a9e1dd59ff12b601c9acdf6e63593ee578a6605483f606013cb",
+    "cyclic:30": "fd4da8f05776258ea68d4bc49fd2821052ebe079d84646f361f31282087d42e2",
+    "q8": "a971d34c0f625aea89651e2391bc4d66cf8dda44dd0c1070e8f20bebf7375351",
+    "s3": "da52370dd3de24263ad2c8c38f002b12c6cf8b1cacf3acc7c78ee1dd8763e845",
+    "d4": "8dc890217b055f329c4bf8ab184f66bb0b17517eb1943590484bae723c058cdf",
+    "sl2f3": "9012772d5080acfe36943ccaede806dbe5d5fb8c70b04a9cff1d305eb6fa457a",
+    "heisenberg:3": "04a9073f283e73d6f40f8dbc8880ad99c88064777b22d01b0a23f03fc6b82b26",
+    "fiber/c3": "72c965ad86de713d59545a7f65819a92412a0f53a71e3ebe937228947a02e2eb",
+    "fiber/a4": "9c13615addbddce758ab37dce80a14a863ba5c4bd797c81723adde3efb2335b0",
+    "fiber/triv": "63956a621d9636b42ffb022650e861d7c124fe57f14339ed4b13e16a22b57d3c",
+    "cyclic:6 x s3": "0d74ad64baa2ebe032885b344a805fe68a60e2f5353035c348f4aed572e6232e",
+    "q8 x d4": "5ba94632caee786b4425e4fe3836f2c06d102dff9bd430a2b9d878895671934e",
+    "sl2/c3": "583a62b46eb436fa49b6a744db420c92acc08239aa0eddedb62508d7d5d91c37",
+    "sl2/a4": "6b0fc2852dbc0bbf32fe66914cb093644fe900327e2e4aa84bea8bfd1ddb0502",
+    "sl2/triv": "20c9974e80c4194b1869091ccb367ea25a3f4ac9329552bb3767b85483d9f6e7",
+}
+
+
+@pytest.mark.parametrize("name", list(PARTITION_SHA256))
+def test_partitions_pinned(name):
+    part = _fresh_group(name).conjugacy_classes()
+    text = json.dumps([part.representatives, part.sizes, part.class_of])
+    assert hashlib.sha256(text.encode()).hexdigest() == PARTITION_SHA256[name]
+
+
 @pytest.mark.parametrize("name", _PRODUCTS)
 def test_pair_table_matches_handle_products(name):
+    # the oracle multiplies each pair componentwise, by the factors' handle products
     group = _fresh_group(name)
     group.ensure_table()
-    assert np.array_equal(group._table, _handle_table(group))
+    assert np.array_equal(group._table, _handle_table(name, group))
+
+
+def test_declared_generators_must_generate():
+    s3 = catalog.symmetric3_group()
+    # a transposition alone generates a subgroup of order 2
+    partial = FiniteGroup(s3.elements, s3._op, generators=[(1, 0, 2)])
+    with pytest.raises(InvalidGroupError, match="do not generate"):
+        partial.conjugacy_classes()
+    with pytest.raises(InvalidGroupError, match="do not generate"):
+        is_nilpotent(partial)
+    # above the order that conjugacy_classes validates: SL2(F_3) x S3, with
+    # only the first factor's generators declared
+    prod = direct_product(_group("sl2f3"), s3)
+    assert prod.order == 144
+    first = FiniteGroup(
+        prod.elements, prod._op, generators=[((1, 1, 0, 1), (0, 1, 2)), ((0, 1, 2, 0), (0, 1, 2))]
+    )
+    with pytest.raises(InvalidGroupError, match="do not generate"):
+        first.conjugacy_classes()
+    every = FiniteGroup(prod.elements, prod._op, generators=prod.elements)
+    assert len(every.conjugacy_classes()) == 21
 
 
 def test_class_labels_of_wrong_length_refused():

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from matchdens.primes import (
     KERNEL_PRIME_LIMIT,
+    _MR_WITNESSES_LARGE,
     crt,
     factorize,
     factorize_small,
@@ -51,6 +52,11 @@ def test_sieve_matches_trial_division():
 )
 def test_is_prime_edge_cases(n, expected):
     assert is_prime(n) is expected
+
+
+def test_large_witnesses_are_the_first_forty_primes():
+    assert _MR_WITNESSES_LARGE == tuple(sieve_primes(173).tolist())
+    assert len(_MR_WITNESSES_LARGE) == 40
 
 
 def test_next_prime_examples():

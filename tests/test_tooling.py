@@ -1,6 +1,7 @@
 """Source checks that hold for the whole package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import matchdens
@@ -108,3 +109,53 @@ def test_the_scan_sees_each_kind_of_unbounded_cache():
         "example.py:6 _d",
     ]
     assert _unbounded_caches(tree, path) == ["example.py:9 f", "example.py:11 g", "example.py:13 h"]
+
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def _instrumented(tree: ast.Module) -> list[tuple[str, str]]:
+    """(owner, attribute) of every instrument(owner, attribute, ...) call,
+    with loops over module-level tuples unrolled."""
+    constants = {}
+    for node in tree.body:
+        names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        if isinstance(node, ast.Assign) and len(names) == len(node.targets) == 1:
+            try:
+                constants[names[0]] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    found = []
+
+    def visit(node, env):
+        loop = isinstance(node, ast.For) and isinstance(node.iter, ast.Name)
+        if loop and node.iter.id in constants:
+            for value in constants[node.iter.id]:
+                for child in node.body:
+                    visit(child, {**env, node.target.id: value})
+            return
+        if isinstance(node, ast.Call) and _name(node.func) == "instrument":
+            owner, attr = node.args[:2]
+            code = compile(ast.Expression(attr), str(LAYERS), "eval")
+            found.append((ast.unparse(owner), eval(code, {"__builtins__": {}}, env)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env)
+
+    visit(tree, {})
+    return found
+
+
+def test_benchmark_wraps_only_names_that_exist():
+    # a renamed or deleted function would leave its layer metric reading zero
+    found = _instrumented(ast.parse(LAYERS.read_text(), filename=str(LAYERS)))
+    assert ("groupcore.FiniteGroup", "__init__") in found
+    assert ("dirichletden", "matching_prime_series") in found
+    missing = []
+    for owner, attr in found:
+        module, *rest = owner.split(".")
+        obj = importlib.import_module(f"matchdens.{module}")
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if not hasattr(obj, attr):
+            missing.append(f"{owner}.{attr}")
+    assert not missing, "perfbench/layers.py wraps missing names: " + ", ".join(missing)
