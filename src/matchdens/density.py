@@ -24,8 +24,8 @@ import numpy as np
 from .primes import is_prime, sieve_primes
 
 DEFAULT_PLANNER_PRIME_BOUND = 1 << 22
-# the planner sieves up to its prime bound: at 2^24 that peaks at 32 MiB (a
-# 16 MiB mask) and keeps 16 MiB of primes and float logs
+# the planner sieves up to its prime bound: at 2^24 that peaks at 24 MiB and
+# keeps 8.6 MB of float logs beside the shared 8.6 MB of primes
 MAX_PLANNER_PRIME_BOUND = 1 << 24
 # prime_window sieves up to its first prime to index it: 10 MB of mask at the bound
 MAX_WINDOW_START = 10**7
@@ -201,13 +201,12 @@ def _le(num: int, den: int, bound: Fraction) -> bool:
     return num * bound.denominator <= bound.numerator * den
 
 
-# -- planner state (cached sieve + float cumulative logs + exact checkpoints)
+# -- planner state (a slice of the prime table + float cumulative logs + exact checkpoints)
 
 class _PlannerState:
     def __init__(self, bound: int):
         self.bound = bound
-        # past sieve_primes' cache, so the primes go with the state
-        self.primes = sieve_primes.__wrapped__(bound)
+        self.primes = sieve_primes(bound)
         with np.errstate(divide="ignore"):
             self.neglog = np.cumsum(-np.log1p(-1.0 / self.primes.astype(np.float64)))
         self.checkpoints: dict[int, list] = {}

@@ -3,10 +3,12 @@
 Characters mod N are indexed by exponent tuples against a fixed generator
 decomposition of (Z/N)*, built from primes.primitive_root at each odd prime
 power; values are stored as exponents of a root of unity, never as floats, so
-equality of values is integer arithmetic.  The exact density, the match table
-and the difference weights of a pair all read one table of those exponents
-(`_value_exponents`).  Matching densities of pairs are exact rationals with
-denominator dividing phi(N).
+equality of values is integer arithmetic.  Each unit group keeps its discrete
+logs as one int16 array with a row per residue, beside a bool mask of the
+units, so a character's values at many residues are one indexed dot product.
+The exact density, the match table and the difference weights of a pair all
+read one table of those exponents (`_value_exponents`).  Matching densities
+of pairs are exact rationals with denominator dividing phi(N).
 
 The empirical side works on indicator (or weighted) series over the primes up
 to some x_max: a natural-density estimate with a binomial standard error, a
@@ -43,21 +45,27 @@ def _local_generators(p: int, k: int) -> list[tuple[int, int]]:
     return [(primitive_root(pk), totient(pk))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitGroup:
-    """(Z/N)* presented as a product of cyclic groups with explicit generators."""
+    """(Z/N)* presented as a product of cyclic groups with explicit generators.
+
+    `dlog` is an (N, r) int16 array: row a holds the exponents e with
+    a = prod g_i^e_i (mod N) when a is a unit, -1 elsewhere; `unit` is the bool
+    mask of the units.  Exponents stay below phi(N) < MAX_MODULUS = 10^4.
+    """
 
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
-    dlog: dict  # unit residue -> exponent tuple
+    dlog: np.ndarray
+    unit: np.ndarray
 
     @property
     def order(self) -> int:
         return math.prod(self.orders)
 
     def units(self) -> list[int]:
-        return sorted(self.dlog)
+        return np.flatnonzero(self.unit).tolist()
 
 
 @lru_cache(maxsize=64)
@@ -78,26 +86,24 @@ def unit_group(N: int) -> UnitGroup:
                 lifted = (g + pk * ((1 - g) * inv % rest)) % N
             gens.append(lifted)
             orders.append(order)
-    dlog: dict[int, tuple[int, ...]] = {}
-    exps = [0] * len(gens)
-    while True:
-        residue = 1 % N
-        for g, e in zip(gens, exps):
-            residue = residue * pow(g, e, N) % N
-        dlog[residue] = tuple(exps)
-        for i in range(len(exps)):
-            exps[i] += 1
-            if exps[i] < orders[i]:
-                break
-            exps[i] = 0
-        else:
-            break
-        if not gens:
-            break
-    expected = totient(N)
-    if len(dlog) != expected:
-        raise ArithmeticError(f"generator enumeration found {len(dlog)} of {expected} units")
-    return UnitGroup(modulus=N, generators=tuple(gens), orders=tuple(orders), dlog=dlog)
+    # every exponent vector in mixed radix, the first generator fastest
+    residues = np.array([1 % N], dtype=np.int64)
+    logs = np.zeros((1, 0), dtype=np.int16)
+    for g, order in zip(gens, orders):
+        powers = np.ones(1, dtype=np.int64)  # g^0 .. g^(order - 1), doubling the run
+        while powers.size < order:
+            powers = np.concatenate([powers, powers * pow(g, powers.size, N) % N])
+        residues = (powers[:order, None] * residues % N).ravel()
+        column = np.repeat(np.arange(order, dtype=np.int16), len(logs))
+        logs = np.column_stack([np.tile(logs, (order, 1)), column])
+    dlog = np.full((N, len(gens)), -1, dtype=np.int16)
+    dlog[residues] = logs
+    unit = np.zeros(N, dtype=bool)
+    unit[residues] = True
+    found, expected = np.count_nonzero(unit), totient(N)
+    if found != expected:
+        raise ArithmeticError(f"generator enumeration found {found} of {expected} units")
+    return UnitGroup(modulus=N, generators=tuple(gens), orders=tuple(orders), dlog=dlog, unit=unit)
 
 
 @dataclass(frozen=True)
@@ -130,20 +136,21 @@ class DirichletChar:
         return out
 
     @cached_property
-    def _weights(self) -> tuple[int, ...]:
+    def _weights(self) -> np.ndarray:
         """w with chi(a) = zeta_order^(w . dlog(a)): w_i = t_i * order / o_i,
         an integer because the order of each component divides the order."""
-        return tuple(t * self.order // o for t, o in zip(self.exponents, self.group.orders))
+        weights = [t * self.order // o for t, o in zip(self.exponents, self.group.orders)]
+        return np.array(weights, dtype=np.int64)
 
     def is_principal(self) -> bool:
         return all(t == 0 for t in self.exponents)
 
     def value_exponent(self, a: int) -> int | None:
         """Exponent j with chi(a) = zeta_order^j, or None when gcd(a, N) > 1."""
-        d = self.group.dlog.get(a % self.modulus)
-        if d is None:
+        group, a = self.group, a % self.modulus
+        if not group.unit[a]:
             return None
-        return sum(w * x for w, x in zip(self._weights, d)) % self.order
+        return int(group.dlog[a] @ self._weights) % self.order
 
     def mul(self, other: DirichletChar) -> DirichletChar:
         if other.modulus != self.modulus:
@@ -159,11 +166,7 @@ class DirichletChar:
 
 def dirichlet_characters(N: int) -> list[DirichletChar]:
     """All characters mod N in mixed-radix index order."""
-    group = unit_group(N)
-    out = []
-    for idx in range(group.order):
-        out.append(dirichlet_character(N, idx))
-    return out
+    return [dirichlet_character(N, idx) for idx in range(unit_group(N).order)]
 
 
 def dirichlet_character(N: int, index: int) -> DirichletChar:
@@ -219,14 +222,11 @@ def _value_exponents(x: DirichletChar, y: DirichletChar):
     if L > MAX_MODULUS:
         raise ValueError("common modulus exceeds the supported range")
     E = lcm(x.order, y.order)
-    units = np.fromiter(unit_group(L).dlog, dtype=np.int64)
-
-    def exponents(chi):  # one dot product of the dlog table with the weights
-        dlog = chi.group.dlog
-        logs = np.array([dlog[a] for a in (units % chi.modulus).tolist()], dtype=np.int64)
-        return logs @ np.array(chi._weights, dtype=np.int64) % chi.order
-
-    vx, vy = (exponents(chi) * (E // chi.order) for chi in (x, y))
+    units = np.flatnonzero(unit_group(L).unit)
+    vx, vy = (
+        chi.group.dlog[units % chi.modulus] @ chi._weights % chi.order * (E // chi.order)
+        for chi in (x, y)
+    )
     return units, vx, vy, E
 
 
@@ -267,10 +267,8 @@ def matching_prime_series(
 
 def _primes_coprime_to(L: int, x_max: int) -> np.ndarray:
     """Primes q <= x_max with gcd(q, L) = 1, by one lookup in the units mask mod L."""
-    unit = np.zeros(L, dtype=bool)
-    unit[list(unit_group(L).dlog)] = True
     primes = sieve_primes(x_max)
-    return primes[unit[primes % L]]
+    return primes[unit_group(L).unit[primes % L]]
 
 
 def _match_table(x: DirichletChar, y: DirichletChar, L: int) -> np.ndarray:

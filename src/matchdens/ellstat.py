@@ -4,10 +4,11 @@ For a curve y^2 = x^3 + ax + b and a torsion prime p, every good prime q
 yields a Frobenius sample: the trace a_q (from point counting over F_q) plus
 the class type of Frobenius inside GL2(F_p), read off the characteristic
 polynomial x^2 - a_q x + q mod p.  Split and non-split regular classes are
-distinguished by whether the discriminant a_q^2 - 4q is a square mod p; a
-vanishing discriminant leaves scalar and non-semisimple images
-indistinguishable at this level, so those samples are reported as ambiguous
-and compared against the combined expectation p/(p^2-1).
+distinguished by the discriminant a_q^2 - 4q mod p (gl2fp.eigenvalue_kind,
+which covers p = 2 too); a vanishing discriminant leaves scalar and
+non-semisimple images indistinguishable at this level, so those samples are
+reported as ambiguous and compared against the combined expectation
+p/(p^2-1).
 
 Traces come from baby-step giant-step point counting, vectorized across all
 primes of a histogram in int64 numpy lanes (O(q^(1/4)) point operations per
@@ -22,14 +23,15 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from .gl2fp import CENTRAL, NONSEMISIMPLE, NONSPLIT, SPLIT, class_type_fractions
-from .primes import _powmod, _residues, factorize, legendre, sieve_primes, sqrt_mod
+from .gl2fp import CENTRAL, NONSEMISIMPLE, NONSPLIT, REPEATED, SPLIT, class_type_fractions, eigenvalue_kind
+from .primes import _powmod, _residues, factorize, sieve_primes, sqrt_mod
 
 AMBIGUOUS = "ambiguous"
 # below 2^21 any three residues multiply to less than 2^63, so every product
@@ -384,10 +386,8 @@ def frobenius_class(a_q: int, q: int, p: int) -> str:
     """
     if q == p:
         raise ValueError("q = p carries no mod-p Frobenius data")
-    return _CLASS_OF_SYMBOL[legendre(a_q * a_q - 4 * q, p)]
-
-
-_CLASS_OF_SYMBOL = {0: AMBIGUOUS, 1: SPLIT, -1: NONSPLIT}
+    kind = eigenvalue_kind(a_q * a_q - 4 * q, p)
+    return AMBIGUOUS if kind == REPEATED else kind
 
 
 @dataclass(frozen=True)
@@ -468,6 +468,8 @@ def chebotarev_histogram(
         # central and non-semisimple classes both have discriminant zero
         AMBIGUOUS: fractions[CENTRAL] + fractions[NONSEMISIMPLE],
     }
+    # a type with no classes (split at p = 2) has no statistic
+    expectations = {key: f for key, f in expectations.items() if f}
     if p <= 7:
         warnings.warn(
             f"p = {p} <= 7: the mod-p image of a semistable curve need not be "
@@ -491,28 +493,23 @@ def chebotarev_histogram(
         r = (a_q * a_q - 4 * q) % p
         ct = kinds.get(r)
         if ct is None:
-            ct = kinds[r] = _CLASS_OF_SYMBOL[legendre(r, p)]
+            ct = kinds[r] = frobenius_class(a_q, q, p)
         if ct == AMBIGUOUS and resolve_scalar:
             ct = _resolve_ambiguous(curve, q, a_q, p, rng)
         samples.append(FrobSample(q=q, a_q=a_q, p=p, class_type=ct))
 
-    hist = ChebotarevHistogram(
+    # a sample resolved as central counts as ambiguous
+    counts = Counter(s.class_type if s.class_type in expectations else AMBIGUOUS for s in samples)
+    return ChebotarevHistogram(
         curve=curve,
         p=p,
         q_max=q_max,
         samples=samples,
+        stats={key: ClassStat(f, counts[key], len(samples)) for key, f in expectations.items()},
         bsgs_lanes=len(good) - len(char_sum_qs),
         char_sum_lanes=len(char_sum_qs),
         char_sum_q=sum(char_sum_qs),
     )
-    n = len(samples)
-    counts = {key: 0 for key in expectations}
-    for s in samples:
-        base = s.class_type if s.class_type in counts else AMBIGUOUS
-        counts[base] += 1
-    for key, expected in expectations.items():
-        hist.stats[key] = ClassStat(expected=expected, count=counts[key], total=n)
-    return hist
 
 
 # -- optional scalar-vs-unipotent resolution for ambiguous samples

@@ -35,6 +35,7 @@ NONSEMISIMPLE = "nonsemisimple"
 SPLIT = "split"
 NONSPLIT = "nonsplit"
 CLASS_TYPES = (CENTRAL, NONSEMISIMPLE, SPLIT, NONSPLIT)
+REPEATED = "repeated"  # a repeated eigenvalue: central or non-semisimple
 
 ENUMERATION_MAX_P = 31
 # class_inventory lists p^2 - 1 classes; 499 is the largest prime that keeps
@@ -95,23 +96,32 @@ class ClassType:
     params: tuple[int, ...]
 
 
+def eigenvalue_kind(disc: int, p: int) -> str:
+    """REPEATED, SPLIT or NONSPLIT: how x^2 - t x + d (d != 0 mod p) factors
+    mod p, from disc = t^2 - 4d.  At p = 2 an odd disc means x^2 + x + 1, which
+    is irreducible: GL2(F_2) has no split class."""
+    disc %= p
+    if disc == 0:
+        return REPEATED
+    if p == 2 or legendre(disc, p) == -1:
+        return NONSPLIT
+    return SPLIT
+
+
 def classify(m: GL2Element) -> ClassType:
     """Class type of a matrix from its characteristic polynomial."""
     p = m.p
     if m.b == 0 and m.c == 0 and m.a == m.d:
         return ClassType(CENTRAL, (m.a,))
     t, d = m.trace(), m.det()
-    disc = (t * t - 4 * d) % p
-    if disc == 0:
+    disc = t * t - 4 * d
+    kind = eigenvalue_kind(disc, p)
+    if kind == REPEATED:
         # repeated eigenvalue: t/2 for odd p; for p = 2 it squares to det
         lam = t * pow(2, -1, p) % p if p != 2 else d % p
         return ClassType(NONSEMISIMPLE, (lam,))
-    if p == 2:
-        # disc odd means x^2 + x + 1, the only irreducible quadratic mod 2
-        return ClassType(NONSPLIT, (t, d))
-    s = sqrt_mod(disc, p)
-    if s is not None:
-        inv2 = pow(2, -1, p)
+    if kind == SPLIT:
+        s, inv2 = sqrt_mod(disc, p), pow(2, -1, p)
         lam, mu = (t - s) * inv2 % p, (t + s) * inv2 % p
         return ClassType(SPLIT, (min(lam, mu), max(lam, mu)))
     return ClassType(NONSPLIT, (t, d))
@@ -162,11 +172,7 @@ def class_inventory(p: int) -> list[tuple[ClassType, int]]:
             out.append((ClassType(SPLIT, (lam, mu)), size[SPLIT]))
     for t in range(p):
         for d in range(1, p):
-            if p == 2:
-                irreducible = t == 1 and d == 1
-            else:
-                irreducible = legendre(t * t - 4 * d, p) == -1
-            if irreducible:
+            if eigenvalue_kind(t * t - 4 * d, p) == NONSPLIT:
                 out.append((ClassType(NONSPLIT, (t, d)), size[NONSPLIT]))
     total = sum(size for _, size in out)
     if total != gl2_order(p):

@@ -128,12 +128,12 @@ class FiniteGroup:
     ):
         if isinstance(elements, np.ndarray) and elements.ndim != 2:
             raise InvalidGroupError("an array of element handles must be 2-D")
-        self._elements = elements if isinstance(elements, np.ndarray) else list(elements)
-        self.order = len(self._elements)
+        self.order = len(elements)
         if self.order == 0:
             raise InvalidGroupError("a group needs at least one element")
         if self.order > ORDER_LIMIT:
             raise OrderBoundExceededError(f"order {self.order} exceeds bound {ORDER_LIMIT}")
+        self._elements = elements if isinstance(elements, np.ndarray) else list(elements)
         self._op = op
         self.name = name
         self._index: dict | None = None

@@ -1,9 +1,12 @@
-"""Prime sieving, deterministic primality testing, and integer factorization helpers."""
+"""Prime sieving, deterministic primality testing, and integer factorization helpers.
+
+Every sieve is a read-only slice of one table of primes, re-sieved only to
+grow past the largest limit asked for so far (at most SIEVE_LIMIT).
+"""
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,25 +21,33 @@ _MR_WITNESSES_LARGE = (
 )
 
 
-@lru_cache(maxsize=8)
+# the planner's largest prime bound: the table then holds 1.08M primes (8.6 MB)
+SIEVE_LIMIT = 1 << 24
+_table = np.zeros(0, dtype=np.int64)
+_table_limit = 1
+
+
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (simple numpy Eratosthenes)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if mask[i]:
-            mask[i * i :: i] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    """All primes <= limit as a read-only int64 slice of the shared table (simple
+    numpy Eratosthenes); a limit above SIEVE_LIMIT is refused before any allocation."""
+    global _table, _table_limit
+    if limit > SIEVE_LIMIT:
+        raise ValueError(f"sieve limit {limit} exceeds SIEVE_LIMIT = {SIEVE_LIMIT}")
+    if limit > _table_limit:
+        mask = np.ones(limit + 1, dtype=bool)
+        mask[:2] = False
+        for i in range(2, math.isqrt(limit) + 1):
+            if mask[i]:
+                mask[i * i :: i] = False
+        _table = np.flatnonzero(mask).astype(np.int64, copy=False)
+        _table.flags.writeable = False
+        _table_limit = limit
+    return _table[: np.searchsorted(_table, limit, "right")]
 
 
 def primes_below(bound: int) -> list[int]:
     """Primes strictly below bound, as plain ints."""
-    if bound <= 2:
-        return []
-    ps = sieve_primes(bound - 1)
-    return [int(p) for p in ps]
+    return sieve_primes(bound - 1).tolist()
 
 
 def is_prime(n: int) -> bool:

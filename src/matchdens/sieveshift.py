@@ -20,9 +20,12 @@ from .primes import crt, is_prime, pollard_rho, primes_below, quadratic_roots_mo
 
 MAX_SHIFT_T = 100_000
 # The sieve holds one byte per integer up to the trial bound and an int64 per
-# prime below it, and sieve_primes caches its arrays: 10^7 keeps that near
-# 16 MB.  The root kernel itself stays exact up to primes.KERNEL_PRIME_LIMIT.
+# prime below it: 10^7 keeps that near 16 MB.  The root kernel itself stays
+# exact up to primes.KERNEL_PRIME_LIMIT.
 MAX_TRIAL_BOUND = 10_000_000
+# A scan keeps one list of small factors per n <= n_max, about 64 bytes each:
+# 10^5, ten times the acceptance scan, keeps that near 6.4 MB.
+MAX_SCAN_N = 100_000
 
 
 class NoAdmissibleShiftError(ValueError):
@@ -201,10 +204,13 @@ def almost_prime_scan(
     marked (n, l) pair, not one per prime.  Cofactors are settled by a
     primality test and a bounded Pollard rho.  Every hit carries its verified
     factorization; values whose cofactor resists the rho budget are listed in
-    unresolved.  trial_bound is refused above MAX_TRIAL_BOUND.
+    unresolved.  trial_bound is refused above MAX_TRIAL_BOUND, and n_max above
+    MAX_SCAN_N.
     """
     if trial_bound > MAX_TRIAL_BOUND:
         raise ValueError(f"trial_bound is bounded at {MAX_TRIAL_BOUND}")
+    if n_max > MAX_SCAN_N:
+        raise ValueError(f"n_max is bounded at MAX_SCAN_N = {MAX_SCAN_N}")
     if F.a <= 0:
         raise ValueError("scan needs a positive leading coefficient")
     if not F.is_primitive():

@@ -310,3 +310,28 @@ def test_readme_flags_exist():
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", README.read_text(encoding="utf-8")))
     assert "--prime-bound" in named
     assert named - {"--no-build-isolation"} <= options
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dirichlet", "--modulus", "7", "--chi", "1", "--chi2", "2", "--xmax", "16777217"], "SIEVE_LIMIT"),
+        (["chartable", "--group", "cyclic:1000001"], "exceeds bound 1000000"),
+        (["shift", "--poly", "1,0,1", "--T", "5", "--scan", "100001"], "MAX_SCAN_N"),
+    ],
+    ids=["dirichlet-xmax", "chartable-order", "shift-scan"],
+)
+def test_sizes_past_a_bound_are_refused(capsys, argv, message):
+    assert main(["--format", "json", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert not captured.out
+
+
+def test_ellstat_at_p_2_reports(capsys):
+    with pytest.warns(UserWarning, match="p = 2"):
+        code, report = _run(capsys, "ellstat", "--a", "-16", "--b", "16", "--p", "2", "--qmax", "2000")
+    assert code == 0
+    stats = report["result"]["stats"]
+    assert set(stats) == {"nonsplit", "ambiguous"}
+    assert stats["nonsplit"]["count"] == 102

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,18 +22,95 @@ from matchdens.dirichletden import (
     sieve_primes,
     unit_group,
 )
+from matchdens.primes import SIEVE_LIMIT
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 16, 24, 45, 50, 97])
 def test_unit_group_structure(N):
     group = unit_group(N)
-    assert len(group.dlog) == group.order
-    # dlog really inverts the generator presentation
-    for a, exps in list(group.dlog.items())[:20]:
+    assert group.units() == [a for a in range(N) if math.gcd(a, N) == 1]
+    assert np.count_nonzero(group.unit) == len(group.units()) == group.order
+    assert group.dlog.dtype == np.int16 and group.dlog.shape == (N, len(group.generators))
+    # dlog really inverts the generator presentation, and reads -1 off the units
+    for a in range(N):
+        if not group.unit[a]:
+            assert (group.dlog[a] == -1).all()
+            continue
         value = 1 % N
-        for g, e in zip(group.generators, exps):
+        for g, e in zip(group.generators, group.dlog[a].tolist()):
             value = value * pow(g, e, N) % N
-        assert value == a % N
+        assert value == a
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 digests taken while each unit group kept its discrete logs as a dict
+# of exponent tuples
+PINNED_SHA256 = {
+    "groups": "065f12b7694650e6ab0d875e174cf16bd229d8966d5f6b98d272f0533bfd6395",
+    "values": "b5de1f2f95111eea1ddcd69fe2786543bd4566133c19f30e9664d4fa91f952bc",
+    "densities": "48c94c0d7f349fb2435eb7f4b514e73bed455aee06e7d2c27c8d62b1b45a545f",
+    "series": "392ce6f2c97bb732fff35cf7a91a637d62684d82997f73e393a6a91badf075a4",
+}
+
+
+def test_unit_groups_and_values_pinned():
+    groups = [(unit_group(N).generators, unit_group(N).orders, unit_group(N).units()) for N in range(1, 2001)]
+    assert _sha256(groups) == PINNED_SHA256["groups"]
+    values = [
+        [chi.value_exponent(a) for a in range(2 * N)]
+        for N in range(1, 61)
+        for chi in dirichlet_characters(N)
+    ]
+    assert _sha256(values) == PINNED_SHA256["values"]
+
+
+def test_exact_densities_pinned():
+    pairs = [(dirichlet_characters(N), dirichlet_characters(N)) for N in range(1, 41)]
+    pairs += [(dirichlet_characters(m), dirichlet_characters(n)) for m, n in ((5, 7), (12, 18), (9, 15))]
+    densities = [exact_matching_density_dirichlet(x, y) for xs, ys in pairs for x in xs for y in ys]
+    assert len(densities) == 8970
+    assert _sha256(densities) == PINNED_SHA256["densities"]
+
+
+def test_prime_series_pinned():
+    digests = []
+    for N, (i, j) in ((9973, (5, 7)), (9000, (11, 13)), (60, (5, 7)), (7, (1, 2))):
+        x, y = dirichlet_character(N, i), dirichlet_character(N, j)
+        for build in (matching_prime_series, difference_weight_series):
+            s = build(x, y, 10**5)
+            weights = b"" if s.weights is None else s.weights.tobytes()
+            digests.append(hashlib.sha256(s.primes.tobytes() + s.marked.tobytes() + weights).hexdigest())
+    assert _sha256(digests) == PINNED_SHA256["series"]
+
+
+def test_unit_group_cache_is_small():
+    top = [int(p) for p in sieve_primes(10**4)[-64:]]
+    unit_group.cache_clear()
+    tracemalloc.start()
+    try:
+        for p in top:
+            unit_group(p)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert unit_group.cache_info().currsize == 64
+    assert current <= 4 << 20
+
+
+def test_prime_series_refuses_past_the_sieve_limit_before_allocating():
+    x, y = dirichlet_character(7, 1), dirichlet_character(7, 2)
+    matching_prime_series(x, y, 100)  # the unit group and the table are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="SIEVE_LIMIT"):
+            matching_prime_series(x, y, SIEVE_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # sha256 of repr([(generators, orders) of unit_group(N) for N = 1 .. 2000]),

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -467,3 +468,17 @@ def test_parse_curve_file():
     assert curves[1].conductor is None
     with pytest.raises(ValueError):
         parse_curve_file("5\n")
+
+
+def test_frobenius_classes_at_p_2():
+    # x^2 + x + 1 is irreducible over F_2, and GL2(F_2) has no split class
+    assert frobenius_class(1, 5, 2) == "nonsplit"
+    assert frobenius_class(2, 5, 2) == AMBIGUOUS
+    with pytest.warns(UserWarning, match="p = 2"):
+        hist = chebotarev_histogram(CONDUCTOR_37_CURVE, 2, 2000)
+    assert hist.total == 300
+    assert {s.class_type for s in hist.samples} == {"nonsplit", AMBIGUOUS}
+    assert all((s.class_type == "nonsplit") == (s.a_q % 2 == 1) for s in hist.samples)
+    assert set(hist.stats) == {"nonsplit", AMBIGUOUS}
+    assert hist.stats["nonsplit"].expected == Fraction(1, 3)
+    assert all(stat.stderr > 0 for stat in hist.stats.values())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -12,12 +13,14 @@ from matchdens.gl2fp import (
     CLASS_TYPES,
     NONSEMISIMPLE,
     NONSPLIT,
+    REPEATED,
     SPLIT,
     GL2Element,
     class_inventory,
     class_type_counts,
     class_type_fractions,
     classify,
+    eigenvalue_kind,
     enumerate_gl2,
     gl2_order,
     product_character,
@@ -313,3 +316,24 @@ def test_class_data_bound(monkeypatch):
         class_inventory(next_prime)
     with pytest.raises(ValueError, match="bounded"):
         steinberg_character_data(next_prime)
+
+
+# sha256 of repr([class_inventory(p) for p in INVENTORY_PRIMES]), taken while
+# class_inventory and classify each special-cased p = 2
+INVENTORY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 499)
+INVENTORY_SHA256 = "5a7e2e021bb5318d3e8ce4a9c8f0eaca54a0de1a857806838da54b0bb7bfcb58"
+
+
+def test_class_inventories_pinned():
+    inventories = [class_inventory(p) for p in INVENTORY_PRIMES]
+    assert hashlib.sha256(repr(inventories).encode()).hexdigest() == INVENTORY_SHA256
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_eigenvalue_kind_matches_root_counts(p):
+    # x^2 - t x + d has 0, 1 or 2 roots in F_p: non-split, repeated or split
+    kinds = {0: NONSPLIT, 1: REPEATED, 2: SPLIT}
+    for t in range(p):
+        for d in range(1, p):
+            roots = sum((x * x - t * x + d) % p == 0 for x in range(p))
+            assert eigenvalue_kind(t * t - 4 * d, p) == kinds[roots]

@@ -480,3 +480,14 @@ def test_cyc_value_round_trip_json():
     v = CycValue(12, {1: Fraction(1, 2), 7: Fraction(-2, 3)})
     doc = groupcore.cyc_value_to_json(v)
     assert groupcore.cyc_value_from_json(doc) == v
+
+
+def test_order_bound_is_checked_before_listing_elements():
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderBoundExceededError, match="exceeds bound"):
+            catalog.cyclic_group(groupcore.ORDER_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

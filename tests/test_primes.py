@@ -1,11 +1,15 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from matchdens import primes
 from matchdens.primes import (
     KERNEL_PRIME_LIMIT,
+    SIEVE_LIMIT,
     _MR_WITNESSES_LARGE,
     crt,
     factorize,
@@ -37,6 +41,56 @@ def _is_prime_trial(n):
 def test_sieve_matches_trial_division():
     got = list(sieve_primes(500))
     assert got == [n for n in range(501) if _is_prime_trial(n)]
+
+
+# sha256 over the sha256 of each sieve's int64 bytes, at these limits in
+# ascending and then descending order, taken while every limit had its own
+# cached array
+SIEVE_LIMITS = [0, 1, 2, 3, 10, 100, 7919, 10**4, 123457, 10**6]
+SIEVES_SHA256 = "ee4f67dc89c729f21de968973fd2240b3fbc4fbf325d0f019ae10e8d0e8b52f5"
+
+
+def test_sieves_pinned(monkeypatch):
+    monkeypatch.setattr(primes, "_table", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_table_limit", 1)
+    digests = [
+        hashlib.sha256(sieve_primes(limit).astype(np.int64).tobytes()).hexdigest()
+        for limit in SIEVE_LIMITS + SIEVE_LIMITS[::-1]
+    ]
+    assert hashlib.sha256(repr(digests).encode()).hexdigest() == SIEVES_SHA256
+
+
+def test_sieve_results_are_read_only():
+    ps = sieve_primes(100)
+    with pytest.raises(ValueError):
+        ps[0] = 4
+    assert sieve_primes(100)[0] == 2
+
+
+def test_sieves_share_one_table(monkeypatch):
+    monkeypatch.setattr(primes, "_table", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_table_limit", 1)
+    tracemalloc.start()
+    try:
+        for k in range(8):  # ascending: each limit grows the table
+            sieve_primes(10**7 - 7000 + 1000 * k)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    table = sieve_primes(10**7)
+    assert np.shares_memory(table, primes._table)
+    assert current <= 1.1 * primes._table.nbytes
+
+
+def test_sieve_refuses_past_its_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="SIEVE_LIMIT"):
+            sieve_primes(SIEVE_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

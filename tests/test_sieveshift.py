@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from matchdens import sieveshift
 from matchdens.primes import is_prime, pollard_rho, primes_below, sieve_primes, sqrt_mod
 from matchdens.sieveshift import (
+    MAX_SCAN_N,
     MAX_TRIAL_BOUND,
     AlmostPrimeHit,
     NoAdmissibleShiftError,
@@ -211,3 +212,14 @@ def test_scan_refuses_trial_bound_above_max(monkeypatch):
         almost_prime_scan(f36, 10, trial_bound=10**15)
     with pytest.raises(ValueError, match="trial_bound"):
         almost_prime_scan(f36, 10, trial_bound=MAX_TRIAL_BOUND + 1)
+
+
+def test_scan_refuses_n_max_above_max(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved up to {limit} before refusing")
+
+    monkeypatch.setattr(sieveshift, "sieve_primes", no_sieve)
+    f36 = shifted_poly(QuadPoly(1, 0, 1), 6, 0)
+    for n_max in (MAX_SCAN_N + 1, 10**12):
+        with pytest.raises(ValueError, match="MAX_SCAN_N"):
+            almost_prime_scan(f36, n_max)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import matchdens
@@ -159,3 +160,26 @@ def test_benchmark_wraps_only_names_that_exist():
         if not hasattr(obj, attr):
             missing.append(f"{owner}.{attr}")
     assert not missing, "perfbench/layers.py wraps missing names: " + ", ".join(missing)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# `module.NAME` = value, the value written as 2^k, 10^k or an integer
+STATED_BOUND = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d+)(?:\^(\d+))?")
+
+
+def test_readme_bounds_match_the_code():
+    text = " ".join(README.read_text().split())
+    stated = {(module, name): int(base) ** int(exp or 1) for module, name, base, exp in STATED_BOUND.findall(text)}
+    assert {
+        ("ellstat", "MAX_Q"),
+        ("density", "MAX_PLANNER_PRIME_BOUND"),
+        ("sieveshift", "MAX_TRIAL_BOUND"),
+        ("primes", "SIEVE_LIMIT"),
+        ("sieveshift", "MAX_SCAN_N"),
+    } <= stated.keys()
+    wrong = [
+        f"{module}.{name} = {value} in README.md, {actual} in the code"
+        for (module, name), value in stated.items()
+        if value != (actual := getattr(importlib.import_module(f"matchdens.{module}"), name))
+    ]
+    assert not wrong, "; ".join(wrong)
