@@ -150,8 +150,9 @@ def _random_gl2(p: int, rng) -> gl2fp.GL2Element:
 
 def criterion_6_shifting_lemma() -> tuple[bool, str]:
     """f = x^2 + 1, T in {10, 50}: the shift removes all factors below T
-    (verified by trial division for n <= 10^3) and the scan certifies at
-    least 10 prime-or-semiprime values with n <= 10^4."""
+    (verified by trial division for n <= 10^3) and the scan finds at least
+    10 prime-or-semiprime values with n <= 10^4 (a factor above psi_13, as
+    at T = 50, is a Baillie-PSW probable prime; see AlmostPrimeHit.proof)."""
     f = sieveshift.QuadPoly(1, 0, 1)
     details = []
     for T in (10, 50):

@@ -227,13 +227,20 @@ def _cmd_shift(args) -> tuple[dict, bool]:
             rho_iterations=args.rho_iterations,
         )
         payload["hits"] = [
-            {"n": h.n, "value": _int_json(h.value), "factors": [_int_json(p) for p in h.factors]}
+            {
+                "n": h.n,
+                "value": _int_json(h.value),
+                "factors": [_int_json(p) for p in h.factors],
+                "proof": h.proof,
+            }
             for h in scan.hits
         ]
         payload["unresolved"] = [
             {"n": n, "value": _int_json(v)} for n, v in scan.unresolved
         ]
         payload["hit_count"] = len(scan.hits)
+        payload["deterministic_count"] = scan.deterministic_hits
+        payload["bpsw_count"] = scan.bpsw_hits
         payload["unresolved_count"] = len(scan.unresolved)
         payload["primes_sieved"] = scan.primes_sieved
         payload["rho_calls"] = scan.rho_calls

@@ -261,6 +261,15 @@ def _planner_state(bound: int) -> _PlannerState:
     return _PlannerState(bound)
 
 
+def _query_state(bound: int) -> _PlannerState:
+    """The state for bound, its slice re-taken once per query: a prime table
+    grown since holds the same primes, and a slice of the old one would keep
+    that whole table alive."""
+    state = _planner_state(bound)
+    state.primes = sieve_primes(bound)
+    return state
+
+
 def _window_from_state(state: _PlannerState, i0: int, j: int) -> PrimeWindow:
     return PrimeWindow(
         primes=tuple(int(p) for p in state.primes[i0 : j + 1]),
@@ -335,7 +344,7 @@ def approximate_zero_density(
         raise ValueError("target must lie in [0, 1]")
     if eps < 0:
         raise ValueError("epsilon must be non-negative")
-    state = _planner_state(_checked_prime_bound(prime_bound))
+    state = _query_state(_checked_prime_bound(prime_bound))
     if eps == 0:
         return _exact_zero_hit(state, c)
     i0 = state.start_index(1 / eps)
@@ -394,7 +403,7 @@ def approximate_matching_density(
                 f"epsilon 0 matching plans exist only for preset targets, not {c}"
             )
         return plan
-    state = _planner_state(bound)
+    state = _query_state(bound)
     half = eps / 2
     c_base = max(Fraction(0), c - half)
     i0 = state.start_index(1 / half)

@@ -169,6 +169,20 @@ class FiniteGroup:
         except KeyError:
             raise InvalidGroupError(f"{handle!r} is not an element of {self}") from None
 
+    def _row_index(self, handle: Hashable) -> int:
+        """index_of without building every handle: an array of handles is
+        searched by one vectorized row match."""
+        rows = self._elements
+        if not isinstance(rows, np.ndarray):
+            return self.index_of(handle)
+        key = np.asarray(handle)
+        hits = np.flatnonzero((rows == key).all(axis=1)) if key.shape == rows.shape[1:] else []
+        if len(hits) > 1:
+            raise InvalidGroupError(f"{self} has duplicate element handles")
+        if not len(hits):
+            raise InvalidGroupError(f"{handle!r} is not an element of {self}")
+        return int(hits[0])
+
     def __contains__(self, handle: Hashable) -> bool:
         try:
             self.index_of(handle)
@@ -184,7 +198,7 @@ class FiniteGroup:
     def generator_indices(self) -> tuple[int, ...] | None:
         """Indices of the declared generators, checked once to generate the group."""
         if self._generators is not None and self._generator_indices is None:
-            gens = tuple(self.index_of(g) for g in self._generators)
+            gens = tuple(map(self._row_index, self._generators))
             if len(self.subgroup_closure(gens)) != self.order:
                 raise InvalidGroupError(f"the declared generators do not generate {self}")
             self._generator_indices = gens

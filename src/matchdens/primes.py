@@ -1,24 +1,32 @@
-"""Prime sieving, deterministic primality testing, and integer factorization helpers.
+"""Prime sieving, primality testing, and integer factorization helpers.
 
 Every sieve is a read-only slice of one table of primes, re-sieved only to
 grow past the largest limit asked for so far (at most SIEVE_LIMIT).
+
+is_prime is a proof below PSI[-1] = psi_13 ~ 3.317e24: strong Miller-Rabin
+with the first k prime bases, k the least index with n < psi_k.  At psi_13
+and above it runs Baillie-PSW (a strong base-2 test and a strong Lucas test),
+which no known composite passes but which is not a proof.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness sets.  The first twelve primes certify
-# every n < 3.317e24 (Sorenson-Webster); beyond that we fall back to the first
-# forty primes, which is no longer a proof but leaves no realistic doubt.
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES_LARGE = (
-    *_MR_WITNESSES_64, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101,
-    103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173,
+# psi_k (OEIS A014233): the least odd composite that is a strong probable
+# prime to each of the first k prime bases, so those k bases prove every odd
+# n < psi_k prime or composite (Jaeschke 1993; Sorenson & Webster 2017 for
+# psi_12 and psi_13).
+PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
 )
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
 
 
 # the planner's largest prime bound: the table then holds 1.08M primes (8.6 MB)
@@ -51,36 +59,92 @@ def primes_below(bound: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: trial division by tiny primes, then Miller-Rabin.
-
-    Deterministic for n < 3.317e24; for larger n uses a fixed 40-prime witness
-    list (reproducible, overwhelmingly reliable, not a certificate).
+    """Primality test: trial division by the first 13 primes, then strong
+    Miller-Rabin with the first k prime bases, k the least index with
+    n < PSI[k - 1].  That is a proof for n < PSI[-1] ~ 3.317e24.  Above, it
+    runs Baillie-PSW: a strong base-2 test and a strong Lucas test with
+    Selfridge's parameters, which no known composite passes.
     """
     if n < 2:
         return False
-    for p in _MR_WITNESSES_64:
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    witnesses = _MR_WITNESSES_64 if n < _DETERMINISTIC_LIMIT else _MR_WITNESSES_LARGE
-    for a in witnesses:
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    if n < PSI[-1]:
+        return all(_strong_probable_prime(n, a, d, s) for a in _BASES[: bisect_right(PSI, n) + 1])
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """The strong (Miller-Rabin) test of odd n > a to base a, n - 1 = d * 2^s with d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
         a %= n
-        if a in (0, 1, n - 1):
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    return sign if n == 1 else 0
+
+
+def _halve(x: int, n: int) -> int:
+    """x / 2 mod odd n."""
+    x %= n
+    return (x + n if x & 1 else x) >> 1
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 1 with Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D|n) = -1, and
+    P = 1, Q = (1 - D)/4.  With n + 1 = d * 2^s, d odd, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A square has no
+    such D and is composite.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # left-to-right ladder on (U_k, V_k, Q^k) from k = 1, with P = 1:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2 Q^k, U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = _halve(u + v, n), _halve(D * u + v, n), qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def next_prime(n: int) -> int:
@@ -346,7 +410,10 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
     are bit-identical.  max_iterations is checked once per Brent round, after
     the round's steps, and each round is twice as long as the one before: an
     offset that gives up has taken up to 2 * max_iterations - 1 steps that
-    accumulate the product q, plus as many steps that only advance y.
+    accumulate the product q, plus as many steps that only advance y.  The
+    product multiplies in two steps per reduction mod n; q mod n is the same
+    at every gcd, so each factor and each give-up is that of one step per
+    reduction.
     """
     if n % 2 == 0:
         return 2
@@ -362,10 +429,15 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                for _ in range(steps >> 1):  # two steps per reduction of q
+                    y1 = (y * y + c) % n
+                    y = (y1 * y1 + c) % n
+                    q = q * (x - y1) * (x - y) % n
+                if steps & 1:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
-                count += min(m, r - k)
+                count += steps
                 g = math.gcd(q, n)
                 k += m
             r *= 2

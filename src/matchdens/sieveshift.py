@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primes import crt, is_prime, pollard_rho, primes_below, quadratic_roots_mod, sieve_primes
+from .primes import PSI, crt, is_prime, pollard_rho, primes_below, quadratic_roots_mod, sieve_primes
 
 MAX_SHIFT_T = 100_000
 # The sieve holds one byte per integer up to the trial bound and an int64 per
@@ -142,7 +142,9 @@ def has_factor_below(value: int, bound: int) -> bool:
 
 @dataclass(frozen=True)
 class AlmostPrimeHit:
-    """n with F(n) a prime or a product of exactly two primes (verified)."""
+    """n with F(n) a prime or a product of exactly two primes, each factor
+    checked by primes.is_prime: proven prime below PSI[-1] ~ 3.317e24, a
+    Baillie-PSW probable prime above (see proof)."""
 
     n: int
     value: int
@@ -159,6 +161,12 @@ class AlmostPrimeHit:
         if prod != self.value:
             raise ValueError("recorded factors do not multiply back to the value")
 
+    @property
+    def proof(self) -> str:
+        """"deterministic" when every factor lies below PSI[-1], where is_prime
+        is a proof; "bpsw" when some factor is a Baillie-PSW probable prime."""
+        return "deterministic" if max(self.factors) < PSI[-1] else "bpsw"
+
 
 @dataclass
 class ScanResult:
@@ -169,7 +177,7 @@ class ScanResult:
     exhausted its budget (each of those values is in unresolved).  A give-up
     took up to 2 * rho_iterations - 1 product steps, since the budget is
     checked once per Brent round, plus as many steps that only advance the
-    sequence.
+    sequence.  deterministic_hits and bpsw_hits count the hits by proof status.
     """
 
     poly: QuadPoly
@@ -185,6 +193,14 @@ class ScanResult:
 
     def __len__(self):
         return len(self.hits)
+
+    @property
+    def deterministic_hits(self) -> int:
+        return sum(h.proof == "deterministic" for h in self.hits)
+
+    @property
+    def bpsw_hits(self) -> int:
+        return len(self.hits) - self.deterministic_hits
 
 
 def almost_prime_scan(
@@ -202,10 +218,10 @@ def almost_prime_scan(
     r, r + l, ... of each root r; a larger prime marks only its roots
     1 <= r <= n_max, so the Python work after the kernel is one step per
     marked (n, l) pair, not one per prime.  Cofactors are settled by a
-    primality test and a bounded Pollard rho.  Every hit carries its verified
-    factorization; values whose cofactor resists the rho budget are listed in
-    unresolved.  trial_bound is refused above MAX_TRIAL_BOUND, and n_max above
-    MAX_SCAN_N.
+    primality test and a bounded Pollard rho.  Every hit carries its checked
+    factorization and its proof status; values whose cofactor resists the
+    rho budget are listed in unresolved.  trial_bound is refused above
+    MAX_TRIAL_BOUND, and n_max above MAX_SCAN_N.
     """
     if trial_bound > MAX_TRIAL_BOUND:
         raise ValueError(f"trial_bound is bounded at {MAX_TRIAL_BOUND}")

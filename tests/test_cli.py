@@ -185,10 +185,24 @@ def test_shift_subcommand(capsys):
     result = report["result"]
     assert result["A"] == "6" and result["B"] == "0"
     assert result["F"] == ["36", "0", "1"]
-    assert result["hits"][0] == {"n": 1, "value": "37", "factors": ["37"]}
+    assert result["hits"][0] == {"n": 1, "value": "37", "factors": ["37"], "proof": "deterministic"}
     assert result["hit_count"] >= 5
+    assert result["deterministic_count"] == result["hit_count"] and result["bpsw_count"] == 0
     assert result["primes_sieved"] == 1229  # the primes below 10^4
     assert result["rho_giveups"] == result["unresolved_count"] <= result["rho_calls"]
+
+
+def test_shift_reports_proof_status(capsys):
+    code, report = _run(
+        capsys, "shift", "--poly", "1,0,1", "--T", "50", "--scan", "30", "--rho-iterations", "256",
+    )
+    assert code == 0
+    result = report["result"]
+    proofs = [h["proof"] for h in result["hits"]]
+    assert set(proofs) <= {"deterministic", "bpsw"} and "bpsw" in proofs
+    assert result["deterministic_count"] == proofs.count("deterministic")
+    assert result["bpsw_count"] == proofs.count("bpsw")
+    assert result["deterministic_count"] + result["bpsw_count"] == result["hit_count"]
 
 
 def test_shift_refuses_trial_bound_above_max(capsys):

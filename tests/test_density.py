@@ -1,10 +1,11 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import density, gl2fp
+from matchdens import density, gl2fp, primes
 from matchdens.density import (
     ApproxPlan,
     PlannerBudgetError,
@@ -79,6 +80,24 @@ def test_one_planner_state_at_a_time():
     assert current <= 1.25 * (state.primes.nbytes + state.neglog.nbytes)
     # switching back rebuilds the state, and plans as a fresh one does
     assert approximate_matching_density(c, eps, prime_bound=bounds[0]) == fresh
+
+
+def test_planner_state_frees_a_replaced_prime_table(monkeypatch):
+    monkeypatch.setattr(primes, "_table", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(primes, "_table_limit", 1)
+    c, eps = Fraction(1, 2), Fraction(1, 10)
+    density._planner_state.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = approximate_zero_density(c, eps)
+        primes.sieve_primes(10**7)  # replaces the table the state sliced
+        assert approximate_zero_density(c, eps) == plan
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    state = density._planner_state(density.DEFAULT_PLANNER_PRIME_BOUND)
+    assert np.shares_memory(state.primes, primes._table)
+    assert current - state.neglog.nbytes <= 1.1 * primes._table.nbytes
 
 
 def test_density_examples():

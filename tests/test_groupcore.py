@@ -311,6 +311,31 @@ def test_declared_generators_must_generate():
     assert len(every.conjugacy_classes()) == 21
 
 
+def test_generator_indices_build_no_handles(monkeypatch):
+    group = catalog.gl2_group(31)  # 892,800 elements
+
+    def no_handles(*args):
+        raise AssertionError("built every element handle")
+
+    monkeypatch.setattr(FiniteGroup, "elements", property(no_handles))
+    monkeypatch.setattr(FiniteGroup, "index_of", no_handles)
+    gens = group.generator_indices
+    assert [group.element(i) for i in gens] == [(3, 0, 0, 1), (30, 1, 30, 0)]
+    assert group._index is None
+
+
+def test_array_generators_must_be_elements():
+    gl2 = catalog.gl2_group(3)
+    for gen in ((0, 0, 0, 0), (1, 0, 1)):  # singular; too short
+        group = FiniteGroup(gl2._elements, gl2._op, generators=[gen])
+        with pytest.raises(InvalidGroupError, match="not an element"):
+            group.generator_indices
+    doubled = np.concatenate([gl2._elements, gl2._elements[:1]])
+    group = FiniteGroup(doubled, lambda i, j: np.asarray(i) * 0, generators=[gl2.element(0)])
+    with pytest.raises(InvalidGroupError, match="duplicate"):
+        group.generator_indices
+
+
 def test_class_labels_of_wrong_length_refused():
     c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, class_labels=lambda g: [0, 1, 2])
     with pytest.raises(InvalidGroupError, match="class labels"):

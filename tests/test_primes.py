@@ -7,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from matchdens import primes
+from matchdens.sieveshift import AlmostPrimeHit
 from matchdens.primes import (
     KERNEL_PRIME_LIMIT,
+    PSI,
     SIEVE_LIMIT,
-    _MR_WITNESSES_LARGE,
+    _jacobi,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     crt,
     factorize,
     factorize_small,
@@ -108,9 +112,108 @@ def test_is_prime_edge_cases(n, expected):
     assert is_prime(n) is expected
 
 
-def test_large_witnesses_are_the_first_forty_primes():
-    assert _MR_WITNESSES_LARGE == tuple(sieve_primes(173).tolist())
-    assert len(_MR_WITNESSES_LARGE) == 40
+def test_is_prime_matches_the_sieve_below_a_million():
+    n = 10**6
+    sieved = np.zeros(n, dtype=bool)
+    sieved[sieve_primes(n - 1)] = True
+    assert [m for m in range(n) if is_prime(m)] == np.flatnonzero(sieved).tolist()
+
+
+# OEIS A014233: psi_k, the least odd composite that is a strong probable
+# prime to each of the first k prime bases
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_test(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return _strong_probable_prime(n, base, d, s)
+
+
+def _trial_division(n):
+    """Primality by numpy trial division with every prime up to sqrt(n)."""
+    ps = sieve_primes(math.isqrt(n))
+    return n > 1 and not np.any(n % ps == 0)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_rejects_each_psi(k):
+    psi = A014233[k - 1]
+    assert PSI[k - 1] == psi
+    assert is_prime(psi) is False
+    # the first k bases accept psi_k: it is the pseudoprime the tier guards
+    assert all(_strong_test(psi, a) for a in FIRST_13_PRIMES[:k])
+    if math.isqrt(psi + 2) <= 10**7:
+        for n in (psi - 2, psi + 2):
+            assert is_prime(n) is _trial_division(n), n
+
+
+def test_the_psi12_pseudoprime_is_no_hit():
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == A014233[11]
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert factorize(psi12) == ({}, psi12)  # unresolved within the rho budget, not a prime
+    with pytest.raises(ValueError, match="not prime"):
+        AlmostPrimeHit(1, psi12, (psi12,))
+
+
+def _odd_composites_below(n):
+    sieved = np.zeros(n, dtype=bool)
+    sieved[sieve_primes(n - 1)] = True
+    return [m for m in range(9, n, 2) if not sieved[m]]
+
+
+def test_strong_base_2_pseudoprimes_below_1e5():
+    # OEIS A001262
+    assert [n for n in _odd_composites_below(10**5) if _strong_test(n, 2)] == [
+        2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+        74665, 80581, 85489, 88357, 90751,
+    ]
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # OEIS A217255: Selfridge's method A
+    assert [n for n in _odd_composites_below(10**5) if _strong_lucas_probable_prime(n)] == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    ]
+
+
+def test_strong_lucas_accepts_primes():
+    assert all(_strong_lucas_probable_prime(p) for p in sieve_primes(20000)[1:].tolist())
+
+
+def test_jacobi_matches_legendre_products():
+    for n in range(1, 200, 2):
+        for a in range(-50, 50):
+            expected = math.prod(legendre(a, p) ** e for p, e in factorize_small(n))
+            assert _jacobi(a, n) == expected, (a, n)
+
+
+def _bpsw(n):
+    return _strong_test(n, 2) and _strong_lucas_probable_prime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1 << 64, PSI[-1] - 2))
+def test_bpsw_agrees_with_tiered_miller_rabin(n):
+    n |= 1
+    p = next_prime(n)
+    if p < PSI[-1]:
+        assert _bpsw(p) and is_prime(p)
+    assert _bpsw(n) is is_prime(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1 << 40, (1 << 40) + (1 << 36)), st.integers(1 << 40, (1 << 40) + (1 << 36)))
+def test_bpsw_rejects_products_of_two_primes_near_2_40(a, b):
+    n = next_prime(a) * next_prime(b)
+    assert not _bpsw(n) and not is_prime(n)
 
 
 def test_next_prime_examples():

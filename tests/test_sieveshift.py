@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from matchdens import sieveshift
-from matchdens.primes import is_prime, pollard_rho, primes_below, sieve_primes, sqrt_mod
+from matchdens.primes import PSI, is_prime, next_prime, pollard_rho, primes_below, sieve_primes, sqrt_mod
 from matchdens.sieveshift import (
     MAX_SCAN_N,
     MAX_TRIAL_BOUND,
@@ -111,6 +112,42 @@ def test_hit_self_verification():
     with pytest.raises(ValueError):
         AlmostPrimeHit(n=1, value=30, factors=(2, 3, 5))
     AlmostPrimeHit(n=1, value=35, factors=(5, 7))
+
+
+def test_hit_proof_status():
+    assert AlmostPrimeHit(n=1, value=35, factors=(5, 7)).proof == "deterministic"
+    below = next_prime(PSI[-1] // 3)  # 3 * below < PSI[-1] < below^2
+    assert AlmostPrimeHit(n=1, value=below, factors=(below,)).proof == "deterministic"
+    above = next_prime(PSI[-1])
+    assert AlmostPrimeHit(n=1, value=above, factors=(above,)).proof == "bpsw"
+    assert AlmostPrimeHit(n=1, value=3 * above, factors=(3, above)).proof == "bpsw"
+    with pytest.raises(ValueError, match="not prime"):  # psi_12, a strong pseudoprime to 12 bases
+        AlmostPrimeHit(n=1, value=PSI[11], factors=(PSI[11],))
+
+
+def test_scan_counts_hits_by_proof_status():
+    small = almost_prime_scan(find_shift(QuadPoly(1, 0, 1), 10).poly, 200)
+    assert small.deterministic_hits == len(small) > 0 and small.bpsw_hits == 0
+    large = almost_prime_scan(find_shift(QuadPoly(1, 0, 1), 50).poly, 30, rho_iterations=1 << 8)
+    assert large.bpsw_hits == sum(h.proof == "bpsw" for h in large) > 0
+    assert large.deterministic_hits + large.bpsw_hits == len(large)
+
+
+# sha256 over the (n, value, factors) of every hit, the unresolved values,
+# rho_calls and rho_giveups of each scan below, taken before is_prime moved to
+# the psi_k tiers and Baillie-PSW and before rho took two steps per reduction
+SCAN_POLYS = [(1, 0, 1), (3, -7, 11), (2, -29, 37), (5, 3, -41)]
+SCANS_SHA256 = "c7fa65ee3f090545b457b5f644c7bd48766beab0e8c32b89f5341e4ebb5b7f13"
+
+
+def test_scans_pinned():
+    rows = []
+    for f in SCAN_POLYS:
+        for T, n_max in ((10, 600), (50, 80)):
+            scan = almost_prime_scan(find_shift(QuadPoly(*f), T).poly, n_max)
+            hits = [(h.n, h.value, h.factors) for h in scan.hits]
+            rows.append((hits, scan.unresolved, scan.rho_calls, scan.rho_giveups))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SCANS_SHA256
 
 
 def test_pairwise_coprime():
