@@ -275,6 +275,7 @@ def _curve_payload(hist) -> dict:
             "bsgs_lanes": hist.bsgs_lanes,
             "char_sum_lanes": hist.char_sum_lanes,
             "char_sum_q": hist.char_sum_q,
+            "bsgs_retry_lanes": hist.bsgs_retry_lanes,
         },
         "stats": stats,
         "samples": [[s.q, s.a_q, s.class_type] for s in hist.samples],

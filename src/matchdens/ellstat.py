@@ -14,9 +14,13 @@ Traces come from baby-step giant-step point counting, vectorized across all
 primes of a histogram in int64 numpy lanes (O(q^(1/4)) point operations per
 prime, Mestre's point-or-twist argument to read a_q); q <= 229 and the rare
 prime that four points leave ambiguous are counted by the O(q) character
-sum.  Every entry point refuses q (or q_max) >= MAX_Q = 2^21.  The
-conductor-37 histogram at q <= 2e5 (17,980 good primes) takes about 0.33 s
-on a 2-core Xeon, against 14 s for the character sum alone.
+sum.  Giant steps start from t G, G = (2m + 1) P and t the integer nearest
+(q + 1) / (2m + 1), and each lane's giant steps are matched against its own
+baby steps.  Each kernel call holds at most CHUNK_BYTES of step tables, so
+the first pass of a histogram up to q_max = 20,500 is one call.  Every entry
+point refuses q (or q_max) >= MAX_Q = 2^21.  The conductor-37 histogram at
+q <= 2e5 (17,980 good primes) takes about 0.17 s on a 2-core Xeon, against
+14 s for the character sum alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,47 +90,66 @@ def point_counts(curve: Curve, qs) -> list[int]:
     """#E(F_q) for each q in qs, in order, by baby-step giant-step.
 
     Every q is checked (good reduction, q < MAX_Q) before anything is
-    allocated.  All q > MESTRE_Q run through one BSGS kernel in int64 numpy
-    lanes, one lane per q and point, O(q^(1/4)) point operations each: first
-    one point per lane, then the next POINTS_PER_LANE - 1 points of every
-    lane left ambiguous, all in a second pass.  Lanes that no point resolves,
-    and every q <= MESTRE_Q, are counted by the O(q) character sum.  The
-    kernel runs LANE_CHUNK lanes at a time on step tables of about
-    6 (2 sqrt(2 sqrt q) + 1) int64 per lane, below 12 MB per chunk at MAX_Q
-    however many primes there are.  The character sum allocates about 33
-    bytes per residue of the q it is counting (66 MiB at q = 2,097,143).
+    allocated; the first q that fails raises.  All q > MESTRE_Q run through
+    one BSGS kernel in int64 numpy lanes, one lane per q and point, O(q^(1/4))
+    point operations each: first one point per lane, then the next
+    POINTS_PER_LANE - 1 points of every lane left ambiguous, all in a second
+    pass.  Lanes that no point resolves, and every q <= MESTRE_Q, are counted
+    by the O(q) character sum.  A lane's step tables have m + 2k + 1 rows
+    (m = floor(sqrt h), k = ceil(h / (2m + 1)), h = floor(2 sqrt q): about
+    2 sqrt(2 sqrt q) + 1, so 35 at q = 20,000 and 110 at MAX_Q), and the
+    kernel holds about 6 int64 per row and lane.  Each kernel call takes as
+    many lanes as fit CHUNK_BYTES = 4 MiB at the rows of its largest q, so it
+    stays below 12 MiB at MAX_Q however many primes there are.  The character
+    sum allocates about 33 bytes per residue of the q it is counting (66 MiB
+    at q = 2,097,143).
     """
-    return _point_counts(curve, qs)[0]
+    return _point_counts(curve, _checked(qs, curve.discriminant()))[0].tolist()
 
 
 # Mestre (1986): for q > 229 some point of E or of its quadratic twist has a
 # single multiple of its order in the Hasse interval, so BSGS can resolve q
 MESTRE_Q = 229
 POINTS_PER_LANE = 4  # points tried per lane before the character sum takes over
-LANE_CHUNK = 2048
+# step-table bytes one kernel call may hold, at 6 int64 per row and lane:
+# 2,496 lanes at q = 20,500 (a histogram's first pass in one call), 794 at MAX_Q
+CHUNK_BYTES = 2**22
 
 
-def _point_counts(curve: Curve, qs) -> tuple[list[int], list[int]]:
-    """point_counts, plus the q that the character sum counted, in order.
+def _checked(qs, discriminant: int) -> np.ndarray:
+    """qs as an int64 array once every q is a good prime below MAX_Q; the
+    first q that is not raises as _require_good does, before numpy sees a q."""
+    qs = [int(q) for q in qs]
+    if qs and max(qs) >= MAX_Q:
+        for q in qs:
+            _require_good(q, discriminant)
+    q = np.array(qs, dtype=np.int64)
+    bad = (q <= 3) | (_residues(discriminant, np.maximum(q, 1)) == 0)  # no q <= 0 divides
+    if bad.any():
+        _require_good(qs[int(bad.argmax())], discriminant)
+    return q
+
+
+def _point_counts(curve: Curve, qs) -> tuple[np.ndarray, list[int], int]:
+    """(counts, char_sum_qs, retried) for good primes qs below MAX_Q: the
+    counts as an int64 array, the q that the character sum counted, in order,
+    and the number of lanes the first point left to the second pass.
 
     A lane's route and count depend on the curve and its q alone.
     """
-    qs = [int(q) for q in qs]
-    disc = curve.discriminant()
-    for q in qs:
-        _require_good(q, disc)
-    if not qs:
-        return [], []
-    q_all = np.array(qs, dtype=np.int64)
+    q_all = np.asarray(qs, dtype=np.int64)
     counts = np.zeros_like(q_all)
     solved = np.zeros(q_all.size, dtype=bool)
     lanes = np.flatnonzero(q_all > MESTRE_Q)
     q = q_all[lanes]
     a, b = _residues(curve.a, q), _residues(curve.b, q)
     x0 = np.full(q.size, -1, dtype=np.int64)
+    retried = 0
     for points in (1, POINTS_PER_LANE - 1):
         if not lanes.size:
             break
+        if points > 1:
+            retried = lanes.size
         tried = []
         for _ in range(points):
             x0 = _least_nonroot(x0 + 1, a, b, q)
@@ -138,8 +163,9 @@ def _point_counts(curve: Curve, qs) -> tuple[list[int], list[int]]:
         solved[lanes[done]] = True
         lanes, q, a, b, x0 = (v[~done] for v in (lanes, q, a, b, x0))
     rest = np.flatnonzero(~solved)
-    counts[rest] = _character_sums(curve, q_all[rest].tolist())
-    return counts.tolist(), q_all[rest].tolist()
+    char_sum_qs = q_all[rest].tolist()
+    counts[rest] = _character_sums(curve, char_sum_qs)
+    return counts, char_sum_qs, retried
 
 
 def _cubic(x, a, b, q):
@@ -167,32 +193,54 @@ def _traces_at(q, a, b, x0) -> tuple[np.ndarray, np.ndarray]:
     a_twist, px = a * dd % q, x0 * d % q
     s = np.zeros_like(q)
     ok = np.zeros(q.size, dtype=bool)
-    for start in range(0, q.size, LANE_CHUNK):
-        part = slice(start, start + LANE_CHUNK)
+    for part in _chunks(q):
         s[part], ok[part] = _unique_trace(q[part], a_twist[part], px[part], dd[part])
     chi = _powmod(d, (q - 1) >> 1, q)  # 1 or q - 1
     return np.where(chi == 1, s, -s), ok
 
 
-def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
-    """(s, ok): ok where exactly one s with |s| <= H = floor(2 sqrt q) has
-    s P = (q + 1) P on y^2 = x^3 + a x + ..., for q > MESTRE_Q and the
-    point P = (px, py).
-
-    s = k (2m + 1) + j with |j| <= m, |k| <= K: baby steps j P, giant steps
-    Q - k G with Q = (q + 1) P and G = (2m + 1) P, matched on x after one
-    batched normalization.  m = floor(sqrt H) and K depend on q alone.  A
-    lane whose point has order <= 2m + 1 is not resolved: its baby steps are
-    not distinct up to sign, and G may be O.  That order is <= H, so at
-    least two s fit anyway.
-    """
-    n = q.size
-    lane = np.arange(n)
+def _steps(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, m, k) per lane: the Hasse bound h = floor(2 sqrt q), m = floor(sqrt h)
+    baby steps and k = ceil(h / (2m + 1)) giant steps of 2m + 1 each way."""
     h = _isqrt(4 * q)
     m = _isqrt(h)
+    return h, m, -(-h // (2 * m + 1))
+
+
+def _chunks(q):
+    """Consecutive slices of the lanes, each as long as the step tables of
+    all its lanes fit CHUNK_BYTES (one lane at least)."""
+    _, m, k = _steps(q)
+    start = 0
+    while start < q.size:
+        rows = np.maximum.accumulate(m[start:]) + 2 * np.maximum.accumulate(k[start:]) + 1
+        lanes = np.arange(1, rows.size + 1)
+        size = max(1, int(np.count_nonzero(48 * rows * lanes <= CHUNK_BYTES)))  # a prefix
+        yield slice(start, start + size)
+        start += size
+
+
+def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """(s, ok): ok where exactly one s with |s| <= h has s P = (q + 1) P on
+    y^2 = x^3 + a x + ..., for q > MESTRE_Q and the point P = (px, py).
+
+    With G = (2m + 1) P and t the integer nearest (q + 1) / (2m + 1),
+    (q + 1) P = T + u P for T = t G and |u| <= m.  So s P = (q + 1) P iff
+    T - k G = +-j P with s = k (2m + 1) +- j + u: baby steps j P for
+    j = 1 .. m, giant steps T - k G for |k| <= ceil(h / (2m + 1)), which
+    covers |s - u| <= h + m, matched on x after one batched normalization,
+    lane by lane.  h, m and k depend on q alone (_steps).  A lane whose point
+    has order <= 2m + 1 is not resolved: its baby steps are not distinct up
+    to sign, and G may be O.  That order is <= h, so at least two s fit
+    anyway.
+    """
+    n = q.size
+    h, m, k = _steps(q)
     step = 2 * m + 1
-    m_max, k_max = int(m.max()), int((-(-h // step)).max())
-    # rows 0 .. m_max - 1 hold j P for j = 1 .. m; row m_max + K + k holds Q - k G
+    t = (q + 1 + m) // step
+    u = q + 1 - t * step
+    m_max, k_max = int(m.max()), int(k.max())
+    # rows 0 .. m_max - 1 hold j P for j = 1 .. m; row m_max + k_max + k holds T - k G
     X, Y, Z = (np.empty((m_max + 2 * k_max + 1, n), dtype=np.int64) for _ in range(3))
     one = np.ones_like(q)
 
@@ -201,6 +249,7 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
     X[1], Y[1], Z[1] = _double(px, py, one, a, q)
     for j in range(2, m_max):
         X[j], Y[j], Z[j] = _add(X[j - 1], Y[j - 1], Z[j - 1], px, py, a, q)
+    lane = np.arange(n)
     gX, gY, gZ = _add(*_double(X[m - 1, lane], Y[m - 1, lane], Z[m - 1, lane], a, q), px, py, a, q)
     # the order of P is <= 2m + 1 iff some j P (j <= m) is O or has y = 0,
     # two of them share x (found after sorting below), or G = O
@@ -210,16 +259,16 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
     gx = gX * inv % q * inv % q
     gy = gY * inv % q * inv % q * inv % q
 
-    # giant steps from Q = (q + 1) P
-    Q = _multiple(q + 1, px, py, a, q)
+    # giant steps from T = t G, about 10 bits at q = 20,000 where (q + 1) P takes 15
+    T = _multiple(t, gx, gy, a, q)
     center = m_max + k_max
-    X[center], Y[center], Z[center] = Q
+    X[center], Y[center], Z[center] = T
     for sign in (1, -1):
-        R = Q
+        R = T
         y_step = (q - gy) % q if sign == 1 else gy  # subtract G, or add it
-        for k in range(1, k_max + 1):
+        for i in range(1, k_max + 1):
             R = _add(*R, gx, y_step, a, q)
-            X[center + sign * k], Y[center + sign * k], Z[center + sign * k] = R
+            X[center + sign * i], Y[center + sign * i], Z[center + sign * i] = R
 
     # one batched inversion: Montgomery's trick along the step axis
     infinite = Z == 0
@@ -234,34 +283,36 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
         inv = inv * Z[i] % q
     zinv[0] = inv
 
-    # x = X / Z^2 in place, as keys lane * MAX_Q + x; unused baby rows are -1, O is -2
+    # x = X / Z^2 in place; unused baby rows are -1, O is -2
     for _ in range(2):
         X *= zinv
         X %= q
-    X += lane * MAX_Q
     X[:m_max][~baby] = -1
     X[m_max:][infinite[m_max:]] = -2
-    order = np.argsort(X[:m_max], axis=None, kind="stable")
-    sorted_keys = X[:m_max].ravel()[order]
-    twins = (sorted_keys[1:] == sorted_keys[:-1]) & (sorted_keys[1:] >= 0)
-    small_order[sorted_keys[1:][twins] // MAX_Q] = True
-    giant_keys = X[m_max:].ravel()
-    pos = np.searchsorted(sorted_keys, giant_keys)
-    np.minimum(pos, sorted_keys.size - 1, out=pos)
-    hit = np.flatnonzero(sorted_keys[pos] == giant_keys)
+    babies = np.sort(X[:m_max], axis=0)
+    small_order |= ((babies[1:] == babies[:-1]) & (babies[1:] >= 0)).any(axis=0)
+    # each giant x against the baby x's of its own lane: j_of is the j that
+    # matched, 0 for none (m <= 53 below MAX_Q)
+    giant = X[m_max:]
+    j_of = np.zeros(giant.shape, dtype=np.int8)
+    for j in range(m_max):
+        np.copyto(j_of, j + 1, where=giant == X[j])
+    hit = np.flatnonzero(j_of)
+    j = j_of.ravel()[hit].astype(np.int64)
+    lanes = hit % n
 
     # x agrees, so y agrees up to sign: normalize y at the matches alone
-    at_b, qh = order[pos[hit]], q[hit % n]
+    qh = q[lanes]
 
     def y_at(flat):  # Y / Z^3 at flat indices of the tables
         z = zinv.ravel()[flat]
         return Y.ravel()[flat] * z % qh * z % qh * z % qh
 
-    j = np.where(y_at(at_b) == y_at(hit + m_max * n), 1, -1) * (at_b // n + 1)
+    j *= np.where(y_at((j - 1) * n + lanes) == y_at(hit + m_max * n), 1, -1)
     at = np.concatenate([hit, np.flatnonzero(infinite[m_max:])])
     j = np.concatenate([j, np.zeros(at.size - hit.size, dtype=np.int64)])
     lanes = at % n
-    s = (at // n - k_max) * step[lanes] + j
+    s = (at // n - k_max) * step[lanes] + j + u[lanes]
     found = (np.abs(s) <= h[lanes]) & ~small_order[lanes]
     count = np.bincount(lanes[found], minlength=n)
     total = np.bincount(lanes[found], weights=s[found], minlength=n)
@@ -281,13 +332,17 @@ def _multiple(e, px, py, a, q):
     return P
 
 
+# Below MAX_Q three residues multiply to less than 2^63 (and so do the sums
+# below), so _double and _add reduce once per product of three.
+
+
 def _double(X, Y, Z, a, q):
     """2 (X : Y : Z) in Jacobian coordinates; Z = 0 (O) and y = 0 give Z = 0."""
-    XX, YY, ZZ = X * X % q, Y * Y % q, Z * Z % q
+    YY, ZZ = Y * Y % q, Z * Z % q
     S = 4 * X * YY % q
-    M = (3 * XX + a * ZZ * ZZ) % q
+    M = (3 * X * X + a * ZZ * ZZ) % q
     X3 = (M * M - 2 * S) % q
-    Y3 = (M * (S - X3) - 8 * (YY * YY % q)) % q
+    Y3 = (M * (S - X3) - 8 * YY * YY) % q
     return X3, Y3, 2 * Y * Z % q
 
 
@@ -296,10 +351,9 @@ def _add(X1, Y1, Z1, x2, y2, a, q):
     the point is the point, and the point plus itself is a doubling."""
     ZZ = Z1 * Z1 % q
     H = (x2 * ZZ - X1) % q
-    r = (y2 * ZZ % q * Z1 - Y1) % q
+    r = (y2 * ZZ * Z1 - Y1) % q
     HH = H * H % q
-    HHH = H * HH % q
-    V = X1 * HH % q
+    HHH, V = H * HH, X1 * HH  # below q^2, unreduced
     X3 = (r * r - HHH - 2 * V) % q
     Y3 = (r * (V - X3) - Y1 * HHH) % q
     Z3 = Z1 * H % q
@@ -390,8 +444,7 @@ def frobenius_class(a_q: int, q: int, p: int) -> str:
     return AMBIGUOUS if kind == REPEATED else kind
 
 
-@dataclass(frozen=True)
-class FrobSample:
+class FrobSample(NamedTuple):
     q: int
     a_q: int
     p: int
@@ -426,7 +479,8 @@ class ClassStat:
 class ChebotarevHistogram:
     """Samples and class-type statistics, plus how the traces were counted:
     bsgs_lanes primes by baby-step giant-step, char_sum_lanes by the
-    character sum, whose q add up to char_sum_q."""
+    character sum, whose q add up to char_sum_q; bsgs_retry_lanes of the
+    BSGS primes were left unresolved by their first point and retried."""
 
     curve: Curve
     p: int
@@ -436,6 +490,7 @@ class ChebotarevHistogram:
     bsgs_lanes: int = 0
     char_sum_lanes: int = 0
     char_sum_q: int = 0
+    bsgs_retry_lanes: int = 0
 
     @property
     def total(self) -> int:
@@ -478,37 +533,44 @@ def chebotarev_histogram(
         )
     primes = sieve_primes(q_max)
     good = primes[(primes > 3) & (primes != p) & (_residues(curve.discriminant(), primes) != 0)]
-    good = good.tolist()
-    if not good:
+    if not good.size:
         raise ValueError(f"no good primes up to {q_max}")
-    counts, char_sum_qs = _point_counts(curve, good)
+    n_points, char_sum_qs, retried = _point_counts(curve, good)
+    a_q = good + 1 - n_points
+    over = a_q * a_q > 4 * good
+    if over.any():
+        first = int(over.argmax())
+        _hasse_checked(int(good[first]), int(n_points[first]))
 
-    rng = random.Random(seed)
-    samples = []
     # the class type depends on a_q^2 - 4q mod p alone: one Legendre symbol
-    # per residue that occurs, at most p of them
-    kinds: dict[int, str] = {}
-    for q, n_points in zip(good, counts):
-        a_q = _hasse_checked(q, n_points)
-        r = (a_q * a_q - 4 * q) % p
-        ct = kinds.get(r)
-        if ct is None:
-            ct = kinds[r] = frobenius_class(a_q, q, p)
-        if ct == AMBIGUOUS and resolve_scalar:
-            ct = _resolve_ambiguous(curve, q, a_q, p, rng)
-        samples.append(FrobSample(q=q, a_q=a_q, p=p, class_type=ct))
-
-    # a sample resolved as central counts as ambiguous
-    counts = Counter(s.class_type if s.class_type in expectations else AMBIGUOUS for s in samples)
+    # per residue that occurs, at most p of them (the discriminant lies in
+    # [-4 q_max, 0), so a larger p leaves it as it is)
+    disc = a_q * a_q - 4 * good
+    residues, codes = np.unique(disc % p if p <= 4 * q_max else disc, return_inverse=True)
+    kinds = [eigenvalue_kind(int(r), p) for r in residues]
+    kinds = [AMBIGUOUS if kind == REPEATED else kind for kind in kinds]
+    class_types = [kinds[c] for c in codes.tolist()]
+    q_list, a_list = good.tolist(), a_q.tolist()
+    if resolve_scalar:
+        rng = random.Random(seed)
+        for i, ct in enumerate(class_types):
+            if ct == AMBIGUOUS:
+                class_types[i] = _resolve_ambiguous(curve, q_list[i], a_list[i], p, rng)
+    # a sample resolved as central counts as ambiguous, and so does a type
+    # with no expectation
+    per_kind = Counter()
+    for kind, count in zip(kinds, np.bincount(codes, minlength=len(kinds)).tolist()):
+        per_kind[kind if kind in expectations else AMBIGUOUS] += count
     return ChebotarevHistogram(
         curve=curve,
         p=p,
         q_max=q_max,
-        samples=samples,
-        stats={key: ClassStat(f, counts[key], len(samples)) for key, f in expectations.items()},
-        bsgs_lanes=len(good) - len(char_sum_qs),
+        samples=list(map(FrobSample._make, zip(q_list, a_list, repeat(p), class_types))),
+        stats={key: ClassStat(f, per_kind[key], good.size) for key, f in expectations.items()},
+        bsgs_lanes=good.size - len(char_sum_qs),
         char_sum_lanes=len(char_sum_qs),
         char_sum_q=sum(char_sum_qs),
+        bsgs_retry_lanes=retried,
     )
 
 

@@ -108,6 +108,8 @@ class FiniteGroup:
     TABLE_LIMIT elements, `ensure_table` caches every product in an int32
     table; `mul` then reads it, and so do the orbit search without
     generators, validation and the commutator subgroup, which ask for it.
+    A group whose table fits one block of BLOCK_ENTRIES products builds it
+    at construction, so a small group calls `op` once.
 
     `generators` (handles) enables scalable conjugacy computations; they are
     checked to generate the group at their first use.  Without them every
@@ -144,6 +146,8 @@ class FiniteGroup:
         self._class_labels = class_labels
         self._generators = None if generators is None else list(generators)
         self._generator_indices: tuple[int, ...] | None = None
+        if self.order**2 <= BLOCK_ENTRIES:  # the whole table in one op call
+            self.ensure_table()
         self.identity = self._find_identity()
 
     # -- handles

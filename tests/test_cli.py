@@ -225,6 +225,10 @@ def test_ellstat_subcommand(capsys):
     assert work["bsgs_lanes"] + work["char_sum_lanes"] == result["sample_count"]
     small = [q for q, _, _ in result["samples"] if q <= 229]
     assert work["char_sum_lanes"] >= len(small) and work["char_sum_q"] >= sum(small)
+    from matchdens import ellstat
+
+    hist = ellstat.chebotarev_histogram(ellstat.CONDUCTOR_37_CURVE, 11, 2000)
+    assert work["bsgs_retry_lanes"] == hist.bsgs_retry_lanes > 0
 
 
 def test_ellstat_refuses_qmax_past_bound(capsys, monkeypatch):

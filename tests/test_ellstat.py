@@ -183,8 +183,8 @@ def _good_primes(curve, lo, hi):
      (Curve(-3, 3 * 10007), 10007), (Curve(1, -233), 233)],
 )
 def test_bsgs_point_when_b_vanishes_mod_q(curve, q):
-    counts, char_sum_qs = ellstat._point_counts(curve, [q])
-    assert counts == [count_points_reference(curve, q)]
+    counts, char_sum_qs, _ = ellstat._point_counts(curve, [q])
+    assert counts.tolist() == [count_points_reference(curve, q)]
     assert char_sum_qs == []
 
 
@@ -201,9 +201,10 @@ def test_bsgs_small_order_points_retry_then_fall_back(curve, monkeypatch):
         return kernel(q, *args)
 
     monkeypatch.setattr(ellstat, "_unique_trace", counting_kernel)
-    counts, char_sum_qs = ellstat._point_counts(curve, qs)
-    assert counts == [count_points_reference(curve, q) for q in qs]
+    counts, char_sum_qs, retried = ellstat._point_counts(curve, qs)
+    assert counts.tolist() == [count_points_reference(curve, q) for q in qs]
     assert len(points) > 1  # some lanes needed a second point
+    assert retried and sum(points[1:]) == (ellstat.POINTS_PER_LANE - 1) * retried
     if curve in (Curve(-1, 0), Curve(0, 1)):
         assert char_sum_qs  # and some exhausted every point
 
@@ -211,8 +212,8 @@ def test_bsgs_small_order_points_retry_then_fall_back(curve, monkeypatch):
 def test_small_q_cut():
     curve = CONDUCTOR_37_CURVE
     qs = [227, 229, 233]
-    counts, char_sum_qs = ellstat._point_counts(curve, qs)
-    assert counts == [count_points_naive(curve, q) for q in qs]
+    counts, char_sum_qs, _ = ellstat._point_counts(curve, qs)
+    assert counts.tolist() == [count_points_naive(curve, q) for q in qs]
     assert char_sum_qs == [227, 229]
 
 
@@ -224,51 +225,129 @@ def test_small_q_cut():
      (Curve(-20, 0), 257), (Curve(-20, -1), 2927), (Curve(-30, 21), 251), (Curve(-15, 6), 241)],
 )
 def test_bsgs_resolves_traces_at_the_hasse_edge(curve, q):
-    counts, char_sum_qs = ellstat._point_counts(curve, [q])
-    assert counts == [count_points_reference(curve, q)]
+    counts, char_sum_qs, _ = ellstat._point_counts(curve, [q])
+    assert counts.tolist() == [count_points_reference(curve, q)]
     assert char_sum_qs == []
+
+
+def _counting(curve, qs):
+    counts, char_sum_qs, retried = ellstat._point_counts(curve, qs)
+    return counts.tolist(), char_sum_qs, retried
+
+
+def _kernel_calls(monkeypatch):
+    calls = []
+    kernel = ellstat._unique_trace
+
+    def counting_kernel(q, *args):
+        calls.append(q.size)
+        return kernel(q, *args)
+
+    monkeypatch.setattr(ellstat, "_unique_trace", counting_kernel)
+    return calls
 
 
 def test_bsgs_lanes_independent_of_chunks_and_order(monkeypatch):
     curve = Curve(-7, 10)
     qs = _good_primes(curve, 3, 9_000)
     expected = [count_points_reference(curve, q) for q in qs]
-    whole = ellstat._point_counts(curve, qs)
+    whole = _counting(curve, qs)
     assert whole[0] == expected
     # small q beside q near MAX_Q in one chunk: each lane's steps follow its own q
     large = [q for q in range(MAX_Q - 2000, MAX_Q) if is_prime(q)]
-    mixed = ellstat._point_counts(curve, qs + large)
+    mixed = _counting(curve, qs + large)
     assert mixed[0][: len(qs)] == expected and mixed[1][: len(whole[1])] == whole[1]
-    monkeypatch.setattr(ellstat, "LANE_CHUNK", 97)  # more than ten chunks
-    assert ellstat._point_counts(curve, qs) == whole
+    calls = _kernel_calls(monkeypatch)
+    monkeypatch.setattr(ellstat, "CHUNK_BYTES", 2**16)
+    assert _counting(curve, qs) == whole
+    first_pass = np.cumsum(calls).tolist().index(sum(q > ellstat.MESTRE_Q for q in qs))
+    assert first_pass + 1 > 10  # more than ten chunks
     shuffled = qs[:]
     random.Random(3).shuffle(shuffled)
-    counts, char_sum_qs = ellstat._point_counts(curve, shuffled)
+    counts, char_sum_qs, retried = _counting(curve, shuffled)
     assert counts == [expected[qs.index(q)] for q in shuffled]
-    assert sorted(char_sum_qs) == whole[1]
+    assert sorted(char_sum_qs) == whole[1] and retried == whole[2]
 
 
-def test_point_counts_memory_bounded_per_chunk():
+def test_chunks_fit_the_byte_budget():
+    # each chunk's step tables, at 6 int64 per row and lane, fit CHUNK_BYTES,
+    # and one more lane would not fit
+    q = np.array(_good_primes(Curve(-7, 10), ellstat.MESTRE_Q, 40_000)[::-1] + [MAX_Q - 1] * 3000)
+    _, m, k = ellstat._steps(q)
+    chunks = list(ellstat._chunks(q))
+    assert chunks[0].start == 0 and chunks[-1].stop == q.size and len(chunks) > 2
+    for part, after in zip(chunks, chunks[1:] + [None]):
+        rows = lambda stop: int(m[part.start:stop].max() + 2 * k[part.start:stop].max() + 1)
+        assert 48 * rows(part.stop) * (part.stop - part.start) <= ellstat.CHUNK_BYTES
+        if after is not None:
+            assert after.start == part.stop
+            assert 48 * rows(part.stop + 1) * (part.stop + 1 - part.start) > ellstat.CHUNK_BYTES
+
+
+def test_histograms_up_to_20500_take_one_call_per_pass(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    hist = chebotarev_histogram(Curve(-7, 10), 11, 20_500)
+    lanes = sum(s.q > ellstat.MESTRE_Q for s in hist.samples)
+    assert calls == [lanes, (ellstat.POINTS_PER_LANE - 1) * hist.bsgs_retry_lanes]
+
+
+def test_point_counts_memory_bounded_per_chunk(monkeypatch):
     # three chunks of primes near MAX_Q peak no higher than one chunk does,
-    # give or take a few int64 per lane; one chunk stays below 12 MB
+    # give or take a few int64 per lane; one chunk stays below 12 MiB
     curve = Curve(19, -28)
-    qs = [int(q) for q in sieve_primes(MAX_Q - 1)[-3 * ellstat.LANE_CHUNK :]]
+    chunk = next(ellstat._chunks(np.full(10**5, MAX_Q - 1))).stop
+    qs = [int(q) for q in sieve_primes(MAX_Q - 1)[-3 * chunk :]]
     assert all(curve.has_good_reduction(q) for q in qs)
+    calls = _kernel_calls(monkeypatch)
     peaks = []
-    for part in (qs[: ellstat.LANE_CHUNK], qs):
+    for part, chunks in ((qs[:chunk], 1), (qs, 3)):
+        calls.clear()
         tracemalloc.start()
         try:
             point_counts(curve, part)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert np.cumsum(calls).tolist().index(len(part)) == chunks - 1  # first pass
     assert peaks[0] < 12 * 2**20
-    assert peaks[1] - peaks[0] < 256 * (len(qs) - ellstat.LANE_CHUNK)
+    assert peaks[1] - peaks[0] < 256 * (len(qs) - chunk)
+
+
+def _start_at_infinity(curve, q):
+    """Whether the giant steps of q's first lane start at T = t G = O: P is
+    the first point of the lane, G = (2m + 1) P and t the integer nearest
+    (q + 1) / (2m + 1), by the affine group law."""
+    x0 = next(x for x in range(q) if (x**3 + curve.a * x + curve.b) % q)
+    d = (x0**3 + curve.a * x0 + curve.b) % q
+    m = int(ellstat._steps(np.array([q]))[1][0])
+    t_step = (q + 1 + m) // (2 * m + 1) * (2 * m + 1)
+    return _affine_multiple(t_step, (x0 * d % q, d * d % q), curve.a * d * d % q, q) is None
+
+
+def test_kernel_matches_character_sums():
+    # every good q in (MESTRE_Q, 30000], and the last primes below MAX_Q,
+    # where a missing reduction would overflow int64
+    large = [q for q in range(MAX_Q - 100, MAX_Q) if is_prime(q)]
+    for curve in (Curve(-7, 10), Curve(19, -28), Curve(-1, 0)):  # the last with CM
+        qs = _good_primes(curve, ellstat.MESTRE_Q, 30_000)
+        assert sum(_start_at_infinity(curve, q) for q in qs) >= 10
+        qs += [q for q in large if curve.has_good_reduction(q)]
+        counts, char_sum_qs, _ = _counting(curve, qs)
+        assert counts == ellstat._character_sums(curve, qs)
+        assert len(char_sum_qs) < len(qs) / 20
+        assert not set(char_sum_qs) & set(large)  # an overflow would show as a give-up
+        # u = q + 1 - t (2m + 1) takes both extremes +-m, where the giant
+        # steps reach farthest
+        _, m, _ = ellstat._steps(np.array(qs))
+        u = np.array(qs) + 1 - (np.array(qs) + 1 + m) // (2 * m + 1) * (2 * m + 1)
+        assert (u == m).any() and (u == -m).any() and (np.abs(u) <= m).all()
 
 
 # (bsgs_lanes, char_sum_lanes, char_sum_q) of the first pinned curve, p = 11,
 # q_max = 20000: the 46 good primes up to MESTRE_Q go to the character sum
 PINNED_WORK = (2211, 46, 5072)
+# lanes of PINNED_WORK that the first point left unresolved: 89 of 2211
+PINNED_RETRY_LANES = 89
 
 
 def test_histogram_counting_work_reported():
@@ -281,6 +360,7 @@ def test_histogram_counting_work_reported():
     again = chebotarev_histogram(curve, 11, 20_000)
     assert (again.bsgs_lanes, again.char_sum_lanes, again.char_sum_q) == work
     assert work == PINNED_WORK
+    assert hist.bsgs_retry_lanes == again.bsgs_retry_lanes == PINNED_RETRY_LANES
 
 
 class _Forbidden:

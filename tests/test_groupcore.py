@@ -104,6 +104,27 @@ def test_invalid_group_reported():
         nonassociative.validate()
 
 
+def test_small_group_calls_op_once():
+    # q8's 64 products fit one block of BLOCK_ENTRIES: the table is built by
+    # one op call at construction, and everything after reads it
+    q8 = catalog.named_group("q8")
+    calls = []
+
+    def counting(i, j):
+        calls.append((np.shape(i), np.shape(j)))
+        return q8._op(i, j)
+
+    group = FiniteGroup(q8.elements, counting, name="q8", generators=[(0, 1), (0, 2)])
+    assert calls == [((8, 1), (8,))]
+    group.validate()
+    assert group.conjugacy_classes().sizes == (1, 2, 2, 2, 1)
+    assert len(character_table_small(group)) == 5
+    assert len(calls) == 1
+    # a group of order 129 has more products than one block holds
+    assert 128**2 <= groupcore.BLOCK_ENTRIES < 129**2
+    assert FiniteGroup(range(129), lambda a, b: (a + b) % 129)._table is None
+
+
 def test_direct_product_orders_and_classes():
     sl2 = _group("sl2f3")
     triv = _group("trivial")
