@@ -98,36 +98,27 @@ def point_counts(curve: Curve, qs) -> list[int]:
     by the O(q) character sum.  A lane's step tables have m + 2k + 1 rows
     (m = floor(sqrt h), k = ceil(h / (2m + 1)), h = floor(2 sqrt q): about
     2 sqrt(2 sqrt q) + 1, so 35 at q = 20,000 and 110 at MAX_Q), and the
-    kernel holds about 6 int64 per row and lane.  Each kernel call takes as
-    many lanes as fit CHUNK_BYTES = 4 MiB at the rows of its largest q, so it
-    stays below 12 MiB at MAX_Q however many primes there are.  The character
-    sum allocates about 33 bytes per residue of the q it is counting (66 MiB
-    at q = 2,097,143).
+    kernel holds ROW_BYTES = 48 (6 int64) per row and lane.  Each kernel call
+    takes as many lanes as fit CHUNK_BYTES = 4 MiB at the rows of its largest
+    q, so it stays below 12 MiB at MAX_Q however many primes there are.  The
+    character sum allocates about 33 bytes per residue of the q it is
+    counting (66 MiB at q = 2,097,143).
     """
-    return _point_counts(curve, _checked(qs, curve.discriminant()))[0].tolist()
+    qs = [int(q) for q in qs]
+    disc = curve.discriminant()
+    for q in qs:
+        _require_good(q, disc)
+    return _point_counts(curve, np.array(qs, dtype=np.int64))[0].tolist()
 
 
 # Mestre (1986): for q > 229 some point of E or of its quadratic twist has a
 # single multiple of its order in the Hasse interval, so BSGS can resolve q
 MESTRE_Q = 229
 POINTS_PER_LANE = 4  # points tried per lane before the character sum takes over
-# step-table bytes one kernel call may hold, at 6 int64 per row and lane:
+# step-table bytes one kernel call may hold, at ROW_BYTES per row and lane:
 # 2,496 lanes at q = 20,500 (a histogram's first pass in one call), 794 at MAX_Q
 CHUNK_BYTES = 2**22
-
-
-def _checked(qs, discriminant: int) -> np.ndarray:
-    """qs as an int64 array once every q is a good prime below MAX_Q; the
-    first q that is not raises as _require_good does, before numpy sees a q."""
-    qs = [int(q) for q in qs]
-    if qs and max(qs) >= MAX_Q:
-        for q in qs:
-            _require_good(q, discriminant)
-    q = np.array(qs, dtype=np.int64)
-    bad = (q <= 3) | (_residues(discriminant, np.maximum(q, 1)) == 0)  # no q <= 0 divides
-    if bad.any():
-        _require_good(qs[int(bad.argmax())], discriminant)
-    return q
+ROW_BYTES = 48  # 6 int64 per row and lane
 
 
 def _point_counts(curve: Curve, qs) -> tuple[np.ndarray, list[int], int]:
@@ -215,7 +206,7 @@ def _chunks(q):
     while start < q.size:
         rows = np.maximum.accumulate(m[start:]) + 2 * np.maximum.accumulate(k[start:]) + 1
         lanes = np.arange(1, rows.size + 1)
-        size = max(1, int(np.count_nonzero(48 * rows * lanes <= CHUNK_BYTES)))  # a prefix
+        size = max(1, int(np.count_nonzero(ROW_BYTES * rows * lanes <= CHUNK_BYTES)))  # a prefix
         yield slice(start, start + size)
         start += size
 
@@ -229,10 +220,12 @@ def _unique_trace(q, a, px, py) -> tuple[np.ndarray, np.ndarray]:
     T - k G = +-j P with s = k (2m + 1) +- j + u: baby steps j P for
     j = 1 .. m, giant steps T - k G for |k| <= ceil(h / (2m + 1)), which
     covers |s - u| <= h + m, matched on x after one batched normalization,
-    lane by lane.  h, m and k depend on q alone (_steps).  A lane whose point
-    has order <= 2m + 1 is not resolved: its baby steps are not distinct up
-    to sign, and G may be O.  That order is <= h, so at least two s fit
-    anyway.
+    lane by lane: m (2k + 1), about 2h, comparisons per lane, O(sqrt q)
+    beside O(q^(1/4)) point operations, yet about 2 ms of a 794-lane chunk's
+    15 ms at MAX_Q on a 2-core Xeon.  h, m and k depend on q alone (_steps).
+    A lane whose point has order <= 2m + 1 is not resolved: its baby steps
+    are not distinct up to sign, and G may be O.  That order is <= h, so at
+    least two s fit anyway.
     """
     n = q.size
     h, m, k = _steps(q)

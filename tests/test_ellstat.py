@@ -253,10 +253,16 @@ def test_bsgs_lanes_independent_of_chunks_and_order(monkeypatch):
     expected = [count_points_reference(curve, q) for q in qs]
     whole = _counting(curve, qs)
     assert whole[0] == expected
-    # small q beside q near MAX_Q in one chunk: each lane's steps follow its own q
-    large = [q for q in range(MAX_Q - 2000, MAX_Q) if is_prime(q)]
-    mixed = _counting(curve, qs + large)
-    assert mixed[0][: len(qs)] == expected and mixed[1][: len(whole[1])] == whole[1]
+    # small q beside q near MAX_Q in one kernel call (few enough lanes to fit
+    # one chunk at MAX_Q's rows): each lane's steps follow its own q
+    small, large = qs[:600], [q for q in range(MAX_Q - 2000, MAX_Q) if is_prime(q)]
+    seen, kernel = [], ellstat._unique_trace
+    monkeypatch.setattr(ellstat, "_unique_trace", lambda q, *args: seen.append(q.copy()) or kernel(q, *args))
+    mixed = _counting(curve, small + large)
+    assert any(q.min() < 9_000 and q.max() > MAX_Q - 2000 for q in seen)
+    assert mixed[0][: len(small)] == expected[: len(small)]
+    assert [q for q in mixed[1] if q < 9_000] == [q for q in whole[1] if q <= small[-1]]
+    monkeypatch.setattr(ellstat, "_unique_trace", kernel)
     calls = _kernel_calls(monkeypatch)
     monkeypatch.setattr(ellstat, "CHUNK_BYTES", 2**16)
     assert _counting(curve, qs) == whole
@@ -270,18 +276,18 @@ def test_bsgs_lanes_independent_of_chunks_and_order(monkeypatch):
 
 
 def test_chunks_fit_the_byte_budget():
-    # each chunk's step tables, at 6 int64 per row and lane, fit CHUNK_BYTES,
-    # and one more lane would not fit
+    # each chunk's step tables, at ROW_BYTES per row and lane, fit
+    # CHUNK_BYTES, and one more lane would not fit
     q = np.array(_good_primes(Curve(-7, 10), ellstat.MESTRE_Q, 40_000)[::-1] + [MAX_Q - 1] * 3000)
     _, m, k = ellstat._steps(q)
     chunks = list(ellstat._chunks(q))
     assert chunks[0].start == 0 and chunks[-1].stop == q.size and len(chunks) > 2
     for part, after in zip(chunks, chunks[1:] + [None]):
         rows = lambda stop: int(m[part.start:stop].max() + 2 * k[part.start:stop].max() + 1)
-        assert 48 * rows(part.stop) * (part.stop - part.start) <= ellstat.CHUNK_BYTES
+        assert ellstat.ROW_BYTES * rows(part.stop) * (part.stop - part.start) <= ellstat.CHUNK_BYTES
         if after is not None:
             assert after.start == part.stop
-            assert 48 * rows(part.stop + 1) * (part.stop + 1 - part.start) > ellstat.CHUNK_BYTES
+            assert ellstat.ROW_BYTES * rows(part.stop + 1) * (part.stop + 1 - part.start) > ellstat.CHUNK_BYTES
 
 
 def test_histograms_up_to_20500_take_one_call_per_pass(monkeypatch):
@@ -418,6 +424,11 @@ def test_bad_reduction_rejected():
         count_points(CONDUCTOR_37_CURVE, 3)
     with pytest.raises(BadReductionError):
         count_points(CONDUCTOR_37_CURVE, 37)
+    # a q that no int64 holds is refused like any q <= 3
+    with pytest.raises(BadReductionError, match="2 and 3"):
+        count_points(CONDUCTOR_37_CURVE, -(2**64))
+    with pytest.raises(BadReductionError, match="bad reduction at 37"):
+        point_counts(CONDUCTOR_37_CURVE, [5, 37, -(2**64)])
 
 
 def test_frobenius_class_examples():
