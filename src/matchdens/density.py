@@ -39,7 +39,9 @@ class PlannerBudgetError(RuntimeError):
 
     Windows of consecutive primes > 7 below bound B cannot push the product
     prod (p-1)/p beneath roughly ln(p_k)/ln(B), so small targets are provably
-    out of desk-scale reach; the refusal carries the exact certificate.
+    out of desk-scale reach.  A refusal is decided by exact arithmetic over
+    the full in-budget window, but it carries only a message naming the bound
+    and the threshold, no certificate another route could re-check.
     """
 
 
@@ -101,12 +103,23 @@ def _prime_index(p: int) -> int:
 
 
 def _pair_product(primes, lo: int, hi: int) -> tuple[int, int]:
-    """(prod (p-1), prod p) over primes[lo..hi] inclusive, by product tree."""
+    """(prod (p-1), prod p) over primes[lo..hi] inclusive, by product tree.
+
+    The leaves are Python ints, so a window of any primes, even above 2^63,
+    multiplies exactly.  The cost is the few top-level products of the two
+    trees, Karatsuba multiplications of many-limb ints: about 0.4 s for the
+    69k primes from 3 * 2^20 to 2^22 on a 2-core Xeon.
+    """
     chunk = [int(p) for p in primes[lo : hi + 1]]
     return _prod_tree([p - 1 for p in chunk]), _prod_tree(chunk)
 
 
 def _prod_tree(xs: list[int]) -> int:
+    """Product of xs by halving; runs of at most 8 multiply in a loop.
+
+    The recursion makes about len(xs) / 4 Python calls; on a long window the
+    top-level products of the halves' many-limb ints dominate.
+    """
     n = len(xs)
     if n == 0:
         return 1
@@ -272,7 +285,7 @@ def _query_state(bound: int) -> _PlannerState:
 
 def _window_from_state(state: _PlannerState, i0: int, j: int) -> PrimeWindow:
     return PrimeWindow(
-        primes=tuple(int(p) for p in state.primes[i0 : j + 1]),
+        primes=tuple(state.primes[i0 : j + 1].tolist()),
         start_index=i0 + 1,
     )
 
@@ -283,8 +296,8 @@ def _find_first_crossing(
     """Least j >= i0 with prod_(i0..j) (p-1)/p <= threshold, plus the exact pair.
 
     Floating point proposes the index; exact arithmetic walks it to the true
-    first crossing.  Raises PlannerBudgetError (with an exact certificate) if
-    even the full range stays above the threshold.
+    first crossing.  Raises PlannerBudgetError if even the full range stays
+    above the threshold, checked exactly.
     """
     if threshold <= 0:
         raise PlannerBudgetError("a positive-length window always has positive density")

@@ -134,7 +134,9 @@ def _point_counts(curve: Curve, qs) -> tuple[np.ndarray, list[int], int]:
     lanes = np.flatnonzero(q_all > MESTRE_Q)
     q = q_all[lanes]
     a, b = _residues(curve.a, q), _residues(curve.b, q)
-    x0 = np.full(q.size, -1, dtype=np.int64)
+    # each lane tries the least x >= 0 with f(x) != 0, or x >= 1 where a = 0:
+    # there x = 0 gives a flex, a point of order 3 that resolves nothing
+    x0 = np.where(a == 0, 0, -1).astype(np.int64)
     retried = 0
     for points in (1, POINTS_PER_LANE - 1):
         if not lanes.size:

@@ -1,3 +1,6 @@
+import hashlib
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -128,6 +131,75 @@ def test_long_window_stays_exact():
     assert 0 < value < 1
     assert value + zero_density(w) == 1
     assert value.denominator % primes[-1] == 0  # nothing collapsed to floats
+
+
+def _products(primes):
+    return math.prod(p - 1 for p in primes), math.prod(primes)
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (11,),
+        (11, 13),
+        (11, 13, 17, 19, 23),
+        (101, 103, 107, 109, 113, 127),
+        (11, 2**31 - 1, 2**61 - 1, 2**89 - 1),  # past 2^31 and past 2^63
+        (46_337, 2**31 - 1, next_prime(2**31)),  # straddles 2^31
+        (9_999_991, next_prime(2**63), next_prime(next_prime(2**63))),
+    ],
+)
+def test_window_products_match_math_prod(primes):
+    w = prime_window(primes)
+    assert density._pair_product(w.primes, 0, len(w) - 1) == _products(primes)
+    assert nonzero_density(w) == Fraction(*_products(primes))
+    inner = w.primes[1:]  # a window's tail, and an empty range
+    assert density._pair_product(w.primes, 1, len(w) - 1) == _products(inner)
+    assert density._pair_product(w.primes, len(w), len(w) - 1) == (1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**22), st.integers(0, 3000))
+def test_pair_product_on_table_slices(lo, length):
+    table = primes.sieve_primes(2**22)
+    lo = min(lo, table.size - 1)
+    hi = min(lo + length, table.size) - 1
+    chunk = tuple(table[lo : hi + 1].tolist())
+    expected = _products(chunk)
+    assert density._pair_product(table, lo, hi) == expected
+    assert density._pair_product(chunk, 0, len(chunk) - 1) == expected
+
+
+def _pinned_plan_queries():
+    # zero and matching queries built as the plan workload builds them, with
+    # windows ending between 2^15.5 and 2^16.5
+    rng = random.Random(19)
+    starts = [int(p) for p in primes.sieve_primes(10_000) if p > 11]
+    queries = []
+    for i in range(24):
+        mode = ("zero", "matching")[i % 2]
+        start = rng.choice(starts)
+        x = Fraction(start - 1) + Fraction(rng.randrange(64), 64)
+        eps = (1 if mode == "zero" else 2) / x
+        end_bits = 15.5 + (i + rng.random()) / 24
+        threshold = math.log(start) / (math.log(2) * end_bits)
+        c = Fraction(round(threshold * 10**6), 10**6) - (eps if mode == "zero" else 0)
+        queries.append((mode, c, eps))
+    return queries
+
+
+def test_planner_outputs_pinned():
+    digest = hashlib.sha256()
+    ends = []
+    for mode, c, eps in _pinned_plan_queries():
+        planner = approximate_zero_density if mode == "zero" else approximate_matching_density
+        plan = planner(c, eps)
+        w = plan.window.primes
+        ends.append(w[-1])
+        digest.update(repr((plan.mode, w[0], w[-1], len(w), plan.twist_order)).encode())
+        digest.update(f"{plan.predicted_num:x}/{plan.predicted_den:x};".encode())
+    assert 2**15.5 < min(ends) and max(ends) < 2**16.5
+    assert digest.hexdigest() == "58366340303a2b69553daab061cd2814e739c0f6901e1202773b0bf799df8810"
 
 
 def test_twist_density_examples():

@@ -188,10 +188,13 @@ def test_bsgs_point_when_b_vanishes_mod_q(curve, q):
     assert char_sum_qs == []
 
 
-@pytest.mark.parametrize("curve", [Curve(-1, 0), Curve(0, 1), Curve(0, -432), Curve(-11, 14)])
+@pytest.mark.parametrize(
+    "curve", [Curve(-1, 0), Curve(0, 1), Curve(0, -432), Curve(-11, 14), Curve(1, 0)]
+)
 def test_bsgs_small_order_points_retry_then_fall_back(curve, monkeypatch):
-    # y^2 = x^3 + 1 starts at (0, 1), of order 3; x^3 - x has full 2-torsion
-    # wherever -1 is a square, and CM traces a_q = 0 half the time
+    # y^2 = x^3 + x starts at x = 1, a point P with 2P = (0, 0), of order 4
+    # on every lane; x^3 - x has full 2-torsion wherever -1 is a square, and
+    # CM traces a_q = 0 half the time
     qs = _good_primes(curve, ellstat.MESTRE_Q, 20_000)
     points = []
     kernel = ellstat._unique_trace
@@ -205,8 +208,26 @@ def test_bsgs_small_order_points_retry_then_fall_back(curve, monkeypatch):
     assert counts.tolist() == [count_points_reference(curve, q) for q in qs]
     assert len(points) > 1  # some lanes needed a second point
     assert retried and sum(points[1:]) == (ellstat.POINTS_PER_LANE - 1) * retried
-    if curve in (Curve(-1, 0), Curve(0, 1)):
+    if curve in (Curve(-1, 0), Curve(0, 1), Curve(1, 0)):
         assert char_sum_qs  # and some exhausted every point
+    if curve == Curve(1, 0):
+        assert retried == len(qs)  # no first point resolved anything
+
+
+@pytest.mark.parametrize(
+    "curve, p, q_max, retried, digest",
+    # the digests were taken with every lane started at x = 0, where 1,628
+    # and 2,212 lanes went to the second pass
+    [(Curve(0, -10), 23, 14_311, 110, "693971433fc8241b8ac98a9940f7650ab8c2cfef627eebedc09feccf139a175c"),
+     (Curve(0, 7), 11, 20_000, 115, "ad8a57670422961058ce50e5cbb822aba2ac0f2796ef0d9683c1c3df35a0a0e2")],
+)
+def test_a_zero_lanes_start_past_the_flex(curve, p, q_max, retried, digest):
+    # on y^2 = x^3 + b the point at x = 0 is a flex, of order 3 for every q,
+    # so lanes with a = 0 start at x = 1: the routes change, the samples do not
+    hist = chebotarev_histogram(curve, p, q_max)
+    samples = [(s.q, s.a_q, s.class_type) for s in hist.samples]
+    assert hashlib.sha256(repr(samples).encode()).hexdigest() == digest
+    assert hist.bsgs_retry_lanes == retried
 
 
 def test_small_q_cut():
