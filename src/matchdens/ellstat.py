@@ -135,8 +135,9 @@ def _point_counts(curve: Curve, qs) -> tuple[np.ndarray, list[int], int]:
     q = q_all[lanes]
     a, b = _residues(curve.a, q), _residues(curve.b, q)
     # each lane tries the least x >= 0 with f(x) != 0, or x >= 1 where a = 0:
-    # there x = 0 gives a flex, a point of order 3 that resolves nothing
-    x0 = np.where(a == 0, 0, -1).astype(np.int64)
+    # there x = 0 gives a flex, a point of order 3 that resolves nothing; and
+    # x >= 2 on y^2 = x^3 + x, where x = 1 gives P with 2P = (0, 0), order 4
+    x0 = np.select([a == 0, (a == 1) & (b == 0)], [0, 1], -1).astype(np.int64)
     retried = 0
     for points in (1, POINTS_PER_LANE - 1):
         if not lanes.size:

@@ -211,9 +211,10 @@ class FiniteGroup:
     # -- multiplication on indices
 
     def _find_identity(self) -> int:
-        """The first e with e x0 = x0 = x0 e, x0 being element 0."""
-        idx = np.arange(self.order)
-        hits = np.flatnonzero((self.mul(idx, 0) == 0) & (self.mul(0, idx) == 0))
+        """The first e with e x0 = x0 = x0 e, x0 being element 0: one product
+        over every e, the other side only where the first one hit."""
+        hits = np.flatnonzero(self.mul(np.arange(self.order), 0) == 0)
+        hits = hits[self.mul(0, hits) == 0]
         if not hits.size:
             raise InvalidGroupError("no identity element found")
         return int(hits[0])

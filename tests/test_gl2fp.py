@@ -238,6 +238,39 @@ def test_product_distribution_tallies_the_rows(primes):
     assert [v for v, _ in prod.distribution] == sorted(tally)
 
 
+# sha256 of repr([(primes, distribution), ...]) over PRODUCT_SETS, taken while
+# product_character rebuilt a factor's distribution per running value and
+# checked inclusion-exclusion in Fractions
+PRODUCT_SETS = (
+    (2, 3, 5, 17), (2, 3, 7, 13), (2, 11, 23), (2, 13, 19), (3, 5, 29), (3, 5, 31),
+    (3, 11, 13), (5, 7, 13), (13, 31), (17, 23), (19, 23),  # 150k..200k class rows
+    (2, 3, 7, 29), (2, 5, 7, 17), (2, 19, 29), (3, 11, 31), (5, 7, 29), (7, 11, 13),
+    (2, 3, 31),
+)
+PRODUCTS_SHA256 = "0cc8971229693b627356be49fe6c41c7ba412c54c632246559bc61995454e53d"
+
+
+def test_product_distributions_pinned():
+    rows = [
+        (ps, product_character([steinberg_character_data(p) for p in ps]).distribution)
+        for ps in PRODUCT_SETS
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PRODUCTS_SHA256
+
+
+def test_product_reads_each_factor_distribution_once(monkeypatch):
+    calls = []
+
+    def counting_class_type_counts(p):
+        calls.append(p)
+        return class_type_counts(p)
+
+    monkeypatch.setattr(gl2fp, "class_type_counts", counting_class_type_counts)
+    primes = (2, 3, 7, 13)
+    product_character([steinberg_character_data(p) for p in primes])
+    assert len(calls) <= len(primes)
+
+
 def test_product_zero_fraction_vs_explicit_group():
     # element-level cross-check on the explicit GL2(F3) x GL2(F5) group
     g3 = catalog.gl2_group(3)

@@ -104,6 +104,17 @@ def test_invalid_group_reported():
         nonassociative.validate()
 
 
+@pytest.mark.parametrize("n", [5, 200])  # a table at construction, and none
+def test_identity_is_the_first_two_sided_one(n):
+    # every e != 0 has e * 0 = 0, but only e = n - 1 has 0 * e = 0 too
+    def op(a, b):
+        return np.where(b == 0, a == 0, np.where(a == 0, np.where(b == n - 1, 0, 2), 0))
+
+    assert FiniteGroup(range(n), op).identity == n - 1
+    with pytest.raises(InvalidGroupError, match="no identity"):
+        FiniteGroup(range(n), lambda a, b: np.where(b == 0, a == 0, 2))
+
+
 def test_small_group_calls_op_once():
     # q8's 64 products fit one block of BLOCK_ENTRIES: the table is built by
     # one op call at construction, and everything after reads it
