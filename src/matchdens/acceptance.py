@@ -11,7 +11,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd
 
 from . import catalog, density, dirichletden, ellstat, gl2fp, groupcore, presets, sieveshift
@@ -38,13 +37,9 @@ def criterion_1_steinberg_zero_density() -> tuple[bool, str]:
     """Exhaustive enumeration gives zero_fraction(Steinberg) = 1/p for p in {5,7,11,13}."""
     details = []
     for p in (5, 7, 11, 13):
-        zeros = 0
-        order = 0
-        for a, b, c, d in iproduct(range(p), repeat=4):
-            if (a * d - b * c) % p == 0:
-                continue
+        zeros = order = 0
+        for m in gl2fp.enumerate_gl2(p):
             order += 1
-            m = gl2fp.GL2Element(p, a, b, c, d)
             if gl2fp.steinberg_value_of_matrix(m) == 0:
                 zeros += 1
         if order != gl2fp.gl2_order(p):

@@ -12,10 +12,9 @@ from typing import Callable
 
 import numpy as np
 
+from .gl2fp import ENUMERATION_MAX_P
 from .groupcore import FiniteGroup
 from .primes import is_prime, primitive_root
-
-GL2_ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
 
 
 def trivial_group() -> FiniteGroup:
@@ -99,8 +98,8 @@ def gl2_group(p: int) -> FiniteGroup:
     is labelled by one int64 key on (scalar, trace, det) rather than by orbit
     search, and conjugacy stays cheap at the top of the range.
     """
-    if p > GL2_ENUMERATION_MAX_P:
-        raise ValueError(f"gl2fp enumeration is bounded at p <= {GL2_ENUMERATION_MAX_P}")
+    if p > ENUMERATION_MAX_P:
+        raise ValueError(f"gl2fp enumeration is bounded at p <= {ENUMERATION_MAX_P}")
     matrices, op = _matrices(p, lambda det: det != 0)
 
     def classified_labels(group: FiniteGroup) -> np.ndarray:

@@ -43,6 +43,7 @@ AMBIGUOUS = "ambiguous"
 # below 2^21 any three residues multiply to less than 2^63, so every product
 # in the point-counting kernels is exact in int64
 MAX_Q = 2**21
+NAIVE_MAX_Q = 2**12  # count_points_naive loops over q^2 pairs (x, y) in Python
 
 
 class BadReductionError(ValueError):
@@ -389,7 +390,10 @@ def _character_sums(curve: Curve, qs: list[int]) -> list[int]:
 
 
 def count_points_naive(curve: Curve, q: int) -> int:
-    """Double loop over (x, y): the independent oracle for count_points."""
+    """Double loop over (x, y): the independent oracle for count_points.
+    O(q^2) work: q at NAIVE_MAX_Q and above is refused before the loop."""
+    if q >= NAIVE_MAX_Q:
+        raise ValueError(f"count_points_naive is bounded below NAIVE_MAX_Q = {NAIVE_MAX_Q}; got {q}")
     _require_good(q, curve.discriminant())
     count = 1  # point at infinity
     for x in range(q):

@@ -4,18 +4,18 @@ Every invertible 2x2 matrix mod p falls into one of four conjugacy *types*
 (central, non-semisimple, split regular, non-split regular) determined by its
 characteristic polynomial; within a type, the class is pinned down by the
 eigenvalue data.  `class_type_counts` gives, for each type, the number of its
-classes and their common size in closed form, and the class-type fractions
-and every value distribution are read from it.
+classes and their common size in closed form.  That is all the class data
+there is: the class-type fractions, every value distribution and every class
+row are read from it, in O(1) work per prime, for any prime p.
 
 A class function that is constant on each type, such as the p-dimensional
 character that vanishes exactly on the non-semisimple classes (value
 p / 0 / 1 / -1 on the four types), is stored as its four integer type values.
-Its p^2 - 1 class rows are listed only when `entries` is read; that listing
-is bounded at p <= CLASS_DATA_MAX_P.  A product over distinct primes
-p_1..p_k is kept as its factors plus its value distribution (value -> total
-class size), the convolution of the factors' distributions: at most
-2^(k+1) + 1 values for Steinberg factors.  Its prod_j (p_j^2 - 1) class rows
-are never stored; each is computed on demand from one row of every factor.
+A product over distinct primes p_1..p_k is kept as its factors plus its value
+distribution (value -> total class size), the convolution of the factors'
+distributions: at most 2^(k+1) + 1 values for Steinberg factors.  Its
+prod_j (p_j^2 - 1) class rows are never stored; each is computed on demand
+from one block per class type and factor: its count, size and value.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ NONSPLIT = "nonsplit"
 CLASS_TYPES = (CENTRAL, NONSEMISIMPLE, SPLIT, NONSPLIT)
 REPEATED = "repeated"  # a repeated eigenvalue: central or non-semisimple
 
-ENUMERATION_MAX_P = 31
-# class_inventory lists p^2 - 1 classes; 499 is the largest prime that keeps
-# them under 2.5e5 rows (0.9 s and a 65 MB peak to build at the bound)
-CLASS_DATA_MAX_P = 499
+ENUMERATION_MAX_P = 31  # keeps |GL2(F_p)| under one million
 
 
 # memoized so that per-matrix callers pay one primality test per p; a refusal
@@ -146,40 +143,6 @@ def class_type_counts(p: int) -> dict[str, tuple[int, int]]:
     }
 
 
-def _require_class_data(p: int) -> None:
-    _require_prime(p)
-    if p > CLASS_DATA_MAX_P:
-        raise ValueError(
-            f"GL2 class data is bounded at p <= {CLASS_DATA_MAX_P} "
-            f"({CLASS_DATA_MAX_P ** 2 - 1} classes); p = {p} has {p * p - 1}"
-        )
-
-
-def class_inventory(p: int) -> list[tuple[ClassType, int]]:
-    """Every conjugacy class of GL2(F_p) with its exact size: p^2 - 1 rows.
-
-    Refuses p above CLASS_DATA_MAX_P with ValueError before building any row.
-    """
-    _require_class_data(p)
-    size = {kind: s for kind, (_, s) in class_type_counts(p).items()}
-    out: list[tuple[ClassType, int]] = []
-    for lam in range(1, p):
-        out.append((ClassType(CENTRAL, (lam,)), size[CENTRAL]))
-    for lam in range(1, p):
-        out.append((ClassType(NONSEMISIMPLE, (lam,)), size[NONSEMISIMPLE]))
-    for lam in range(1, p):
-        for mu in range(lam + 1, p):
-            out.append((ClassType(SPLIT, (lam, mu)), size[SPLIT]))
-    for t in range(p):
-        for d in range(1, p):
-            if eigenvalue_kind(t * t - 4 * d, p) == NONSPLIT:
-                out.append((ClassType(NONSPLIT, (t, d)), size[NONSPLIT]))
-    total = sum(size for _, size in out)
-    if total != gl2_order(p):
-        raise AssertionError(f"class inventory of GL2(F_{p}) misses elements")
-    return out
-
-
 def class_type_fractions(p: int) -> dict[str, Fraction]:
     """Exact fraction of GL2(F_p) in each class type; the four sum to one."""
     order = gl2_order(p)
@@ -194,12 +157,16 @@ def class_type_fractions(p: int) -> dict[str, Fraction]:
 
 def steinberg_value_of_matrix(m: GL2Element) -> int:
     """Value of the p-dimensional character on one matrix, for every prime p."""
-    return _steinberg(m.p).value_of(m)
+    return steinberg_character_data(m.p).value_of(m)
 
 
 def fixed_projective_points(m: GL2Element) -> int:
     """Number of lines of F_p^2 fixed by m: an independent route to the
-    character (value = fixed points - 1)."""
+    character (value = fixed points - 1).
+
+    Work is O(p): one pass over the p + 1 lines, with a modular inverse for
+    each line (x : 1) whose image is not the line (1 : 0).
+    """
     p = m.p
     count = 0
     # lines (x : 1) and the line (1 : 0)
@@ -239,6 +206,7 @@ class Gl2ClassFunction:
     values: tuple[int, int, int, int]
 
     def __post_init__(self):
+        _require_prime(self.p)
         if len(self.values) != len(CLASS_TYPES):
             raise ValueError(f"need one value per class type {CLASS_TYPES}")
 
@@ -263,13 +231,6 @@ class Gl2ClassFunction:
                 dist[value] = dist.get(value, 0) + count * size
         return tuple(sorted(dist.items()))
 
-    @cached_property
-    def entries(self) -> tuple[tuple[ClassType, int, int], ...]:
-        """(class, size, integer value) rows in class_inventory order, listed on
-        first read; refused past CLASS_DATA_MAX_P."""
-        value = dict(zip(CLASS_TYPES, self.values))
-        return tuple((ct, size, value[ct.kind]) for ct, size in class_inventory(self.p))
-
     def zero_fraction(self) -> Fraction:
         zero = sum(size for v, size in self.distribution if v == 0)
         return Fraction(zero, self.group_order)
@@ -287,54 +248,53 @@ class Gl2ClassFunction:
         return self.values[CLASS_TYPES.index(classify(m).kind)]
 
 
-def _steinberg(p: int) -> Gl2ClassFunction:
-    return Gl2ClassFunction(p=p, values=(p, 0, 1, -1))
-
-
 def steinberg_character_data(p: int) -> Gl2ClassFunction:
-    """The p-dimensional character as exact class data.
-
-    Refuses p above CLASS_DATA_MAX_P with ValueError, as class_inventory does.
-    """
-    _require_class_data(p)
-    return _steinberg(p)
+    """The p-dimensional character as exact class data, for any prime p."""
+    return Gl2ClassFunction(p=p, values=(p, 0, 1, -1))
 
 
 class ProductRows(Sequence):
     """The (class size, value) rows of a product class function, built on demand.
 
-    Row i combines one row of each factor: i read in mixed radix, the last
-    factor's row as the lowest digit, so iteration runs in itertools.product
-    order over the factors' rows.  The row is the product of those rows'
-    sizes and of their values.
+    A factor's p^2 - 1 classes run through the types in CLASS_TYPES order, and
+    every class of a type has that type's size and value, so each factor is
+    read once, as one ((count, size), value) block per type.  Row i combines
+    one class of each factor: i read in mixed radix, the last factor's class
+    as the lowest digit, so iteration runs in itertools.product order.  The
+    row is the product of those classes' sizes and of their values.
     """
 
-    __slots__ = ("_factors",)
+    __slots__ = ("_blocks", "_radices", "_len")
 
     def __init__(self, factors: tuple[Gl2ClassFunction, ...]):
-        self._factors = factors
+        self._blocks = tuple(tuple(zip(class_type_counts(f.p).values(), f.values)) for f in factors)
+        self._radices = tuple(sum(count for (count, _), _ in blocks) for blocks in self._blocks)
+        self._len = prod(self._radices)
 
     def __len__(self) -> int:
-        return prod(f.class_count for f in self._factors)
+        return self._len
 
     def __getitem__(self, index) -> tuple[int, int]:
         index = operator.index(index)
-        n = len(self)
         if index < 0:
-            index += n
-        if not 0 <= index < n:
+            index += self._len
+        if not 0 <= index < self._len:
             raise IndexError("product row index out of range")
         size = value = 1
-        for f in reversed(self._factors):
-            index, digit = divmod(index, len(f.entries))
-            _, fsize, fvalue = f.entries[digit]
+        for blocks, radix in zip(reversed(self._blocks), reversed(self._radices)):
+            index, digit = divmod(index, radix)
+            for (count, fsize), fvalue in blocks:
+                if digit < count:
+                    break
+                digit -= count
             size *= fsize
             value *= fvalue
         return size, value
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for rows in iproduct(*(f.entries for f in self._factors)):
-            yield prod(size for _, size, _ in rows), prod(v for _, _, v in rows)
+        classes = [[(s, v) for (count, s), v in blocks for _ in range(count)] for blocks in self._blocks]
+        for rows in iproduct(*classes):
+            yield prod(size for size, _ in rows), prod(value for _, value in rows)
 
 
 @dataclass(frozen=True)
@@ -343,8 +303,8 @@ class ProductClassFunction:
 
     `distribution` holds (value, total size of the classes taking it) pairs
     sorted by value; it is all that the zero fraction and the group order
-    need.  The class rows, one per tuple of factor classes, are read from the
-    factors on demand through `entries`.
+    need.  `entries` gives the class rows, one per tuple of factor classes,
+    computed on demand from each factor's four class-type blocks.
     """
 
     factors: tuple[Gl2ClassFunction, ...]

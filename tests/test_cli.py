@@ -90,11 +90,18 @@ def test_approx_refuses_prime_bound_past_max(capsys, monkeypatch):
         assert "MAX_PLANNER_PRIME_BOUND = 16777216" in captured.err
 
 
-def test_gl2_refuses_p_past_class_data_bound(capsys):
-    assert main(["--format", "json", "gl2", "--p", "503"]) == 1
+def test_gl2_reads_class_data_for_any_prime(capsys):
+    code, report = _run(capsys, "gl2", "--p", "503")
+    assert code == 0
+    assert report["result"]["class_count"] == 253008
+    assert report["result"]["norm_check"] is True
+
+
+def test_gl2_refuses_a_composite_p(capsys):
+    assert main(["--format", "json", "gl2", "--p", "501"]) == 1  # 3 * 167
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error" in captured.err and "bounded at p <= 499" in captured.err
+    assert "not prime" in captured.err
 
 
 def test_gl2_subcommand(capsys):

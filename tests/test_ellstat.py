@@ -64,6 +64,14 @@ def test_count_points_matches_naive_oracle(curve):
         assert count_points(curve, q) == count_points_naive(curve, q)
 
 
+def test_naive_oracle_refuses_q_at_its_bound():
+    # the bound itself, and the least prime past it, are refused before the O(q^2) loop
+    assert is_prime(4099) and ellstat.NAIVE_MAX_Q < 4099
+    for q in (ellstat.NAIVE_MAX_Q, 4099):
+        with pytest.raises(ValueError, match="NAIVE_MAX_Q = 4096"):
+            count_points_naive(CONDUCTOR_37_CURVE, q)
+
+
 GOOD_SMALL_PRIMES = [int(q) for q in sieve_primes(300) if q >= 5]
 
 

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,6 @@ from matchdens.gl2fp import (
     REPEATED,
     SPLIT,
     GL2Element,
-    class_inventory,
     class_type_counts,
     class_type_fractions,
     classify,
@@ -37,6 +37,8 @@ def test_element_validation():
         GL2Element(6, 1, 0, 0, 1)  # composite p
     m = GL2Element(5, 6, -1, 0, 1)
     assert m.entries() == (1, 4, 0, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        steinberg_character_data(501)  # 3 * 167
 
 
 def test_prime_check_runs_once_per_p(monkeypatch):
@@ -65,56 +67,83 @@ def test_classify_examples():
     assert classify(GL2Element(7, 1, 0, 0, 2)) == gl2fp.ClassType(SPLIT, (1, 2))
 
 
+@lru_cache(maxsize=None)
+def _enumerated_classes(p):
+    # the reference class data, built without class_type_counts: every matrix
+    # classified, a class's size its matrix count, its value the fixed-point
+    # count of one member less one; classes in CLASS_TYPES order
+    assert p <= 17
+    sizes: Counter = Counter()
+    values = {}
+    for m in enumerate_gl2(p):
+        ct = classify(m)
+        sizes[ct] += 1
+        if ct not in values:
+            values[ct] = steinberg_value_by_fixed_points(m)
+    order = sorted(sizes, key=lambda ct: (CLASS_TYPES.index(ct.kind), ct.params))
+    return tuple((ct, sizes[ct], values[ct]) for ct in order)
+
+
+def _sizes_by_kind(classes):
+    found: dict = {kind: [] for kind in CLASS_TYPES}
+    for kind, size in classes:
+        found[kind].append(size)
+    return found
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_class_inventory_matches_enumeration(p):
-    counted: dict = {}
-    total = 0
-    for m in enumerate_gl2(p):
-        counted[classify(m)] = counted.get(classify(m), 0) + 1
-        total += 1
-    assert total == gl2_order(p)
-    inventory = dict(class_inventory(p))
-    assert counted == inventory
+    # the class inventory class_type_counts states, against every matrix classified
+    counts = class_type_counts(p)
+    assert tuple(counts) == CLASS_TYPES
+    found = _sizes_by_kind((ct.kind, size) for ct, size, _ in _enumerated_classes(p))
+    assert found == {kind: [size] * count for kind, (count, size) in counts.items()}
+    assert sum(count for count, _ in counts.values()) == p * p - 1
+    assert sum(size for _, size, _ in _enumerated_classes(p)) == gl2_order(p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_type_cardinalities_closed_forms(p):
-    by_kind = {CENTRAL: 0, NONSEMISIMPLE: 0, SPLIT: 0, NONSPLIT: 0}
-    for ct, size in class_inventory(p):
-        by_kind[ct.kind] += size
-    assert by_kind[CENTRAL] == p - 1
-    assert by_kind[NONSEMISIMPLE] == (p - 1) * (p * p - 1)
-    assert by_kind[SPLIT] == p * (p + 1) * (p - 1) * (p - 2) // 2
-    assert by_kind[NONSPLIT] == p * p * (p - 1) ** 2 // 2
+    by_kind = {kind: count * size for kind, (count, size) in class_type_counts(p).items()}
+    assert by_kind == {
+        CENTRAL: p - 1,
+        NONSEMISIMPLE: (p - 1) * (p * p - 1),
+        SPLIT: p * (p + 1) * (p - 1) * (p - 2) // 2,
+        NONSPLIT: p * p * (p - 1) ** 2 // 2,
+    }
+    enumerated = Counter()
+    for ct, size, _ in _enumerated_classes(p):
+        enumerated[ct.kind] += size
+    assert by_kind == enumerated
+    assert sum(by_kind.values()) == gl2_order(p)
 
 
-@pytest.mark.parametrize("p", [*primes.primes_below(32), gl2fp.CLASS_DATA_MAX_P])
+@pytest.mark.parametrize("p", primes.primes_below(32))
 def test_class_type_counts_match_inventory(p):
-    counts = class_type_counts(p)
-    assert tuple(counts) == CLASS_TYPES
-    sizes: dict = {kind: [] for kind in CLASS_TYPES}
-    for ct, size in class_inventory(p):
-        sizes[ct.kind].append(size)
-    for kind, (count, size) in counts.items():
-        assert len(sizes[kind]) == count
-        assert set(sizes[kind]) <= {size}
-    assert sum(count for count, _ in counts.values()) == p * p - 1
-    assert sum(count * size for count, size in counts.values()) == gl2_order(p)
+    # the inventory here is the explicit group's conjugacy class partition
+    group = catalog.gl2_group(p)
+    part = group.conjugacy_classes()
+    found = _sizes_by_kind(
+        (classify(GL2Element(p, *group.element(rep))).kind, size)
+        for rep, size in zip(part.representatives, part.sizes)
+    )
+    assert found == {kind: [size] * count for kind, (count, size) in class_type_counts(p).items()}
+    assert sum(part.sizes) == group.order == gl2_order(p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 31])
 def test_steinberg_distribution_tallies_entries(p):
     data = steinberg_character_data(p)
+    rows = product_character([data]).entries
     tally: Counter = Counter()
-    for _, size, value in data.entries:
+    for size, value in rows:
         tally[value] += size
     assert data.distribution == tuple(sorted(tally.items()))
-    assert data.class_count == len(data.entries)
-    value = {ct: v for ct, _, v in data.entries}
+    assert data.class_count == len(rows) == p * p - 1
     rng = random.Random(p)
     for _ in range(30):
         m = _random_element(p, rng)
-        assert data.value_of(m) == value[classify(m)] == steinberg_value_by_fixed_points(m)
+        assert data.value_of(m) == steinberg_value_of_matrix(m) == steinberg_value_by_fixed_points(m)
 
 
 def _random_element(p, rng):
@@ -128,7 +157,6 @@ def test_class_data_built_from_types_alone(monkeypatch):
     def no_rows(*args):
         raise AssertionError("built a class row")
 
-    monkeypatch.setattr(gl2fp, "class_inventory", no_rows)
     monkeypatch.setattr(gl2fp, "ClassType", no_rows)
     prod = product_character([steinberg_character_data(p) for p in (2, 3, 31)])
     assert prod.distribution == (
@@ -138,8 +166,8 @@ def test_class_data_built_from_types_alone(monkeypatch):
     )
     assert prod.zero_fraction() == Fraction(21, 31)
     assert len(prod.entries) == 3 * 8 * 960
-    report = presets.steinberg_report(gl2fp.CLASS_DATA_MAX_P)
-    assert report["class_count"] == gl2fp.CLASS_DATA_MAX_P ** 2 - 1
+    report = presets.steinberg_report(503)
+    assert report["class_count"] == 503 ** 2 - 1
     assert report["norm_check"]
 
 
@@ -186,32 +214,32 @@ def test_product_character_examples():
         product_character([])
 
 
-def _materialized_rows(factors):
-    # the list comprehension product_character used to store: the reference
+def _materialized_rows(primes):
+    # the list comprehension product_character used to store, over each
+    # prime's enumerated classes and their Steinberg values: the reference
     entries = [(1, 1)]
-    for f in factors:
+    for p in primes:
         entries = [
             (size * fsize, value * fvalue)
             for size, value in entries
-            for _, fsize, fvalue in f.entries
+            for _, fsize, fvalue in _enumerated_classes(p)
         ]
     return entries
 
 
 @pytest.mark.parametrize("primes", [(5,), (5, 7), (2, 3, 5), (3, 5, 7), (2, 3, 7, 13)])
 def test_product_rows_match_materialized(primes):
-    factors = [steinberg_character_data(p) for p in primes]
-    rows = product_character(factors).entries
-    reference = _materialized_rows(factors)
+    rows = product_character([steinberg_character_data(p) for p in primes]).entries
+    reference = _materialized_rows(primes)
     assert len(rows) == len(reference)
     assert list(rows) == reference
     assert [rows[i] for i in range(len(rows))] == reference
 
 
 def test_product_rows_indexing_on_a_million_rows():
-    factors = [steinberg_character_data(p) for p in (2, 5, 7, 17)]
-    rows = product_character(factors).entries
-    reference = _materialized_rows(factors)
+    primes = (2, 5, 7, 17)
+    rows = product_character([steinberg_character_data(p) for p in primes]).entries
+    reference = _materialized_rows(primes)
     n = len(reference)
     assert len(rows) == n == 3 * 24 * 48 * 288
     for i in random.Random(4).sample(range(n), 200):
@@ -230,7 +258,7 @@ def test_product_distribution_tallies_the_rows(primes):
     prod = product_character([steinberg_character_data(p) for p in primes])
     assert sum(size for _, size in prod.distribution) == math.prod(gl2_order(p) for p in primes)
     tally: Counter = Counter()
-    for size, value in prod.entries:
+    for size, value in _materialized_rows(primes):
         tally[value] += size
     assert tally[0] == sum(size for v, size in prod.distribution if v == 0)
     assert dict(prod.distribution) == dict(tally)
@@ -271,6 +299,42 @@ def test_product_reads_each_factor_distribution_once(monkeypatch):
     assert len(calls) <= len(primes)
 
 
+# sha256 of repr([list(rows) for each of ROW_SETS]), and of the rows of
+# (2, 5, 7, 17) at ROW_INDICES, taken while rows were read from a listing of
+# every class
+ROW_SETS = ((5,), (2, 3, 5), (3, 5, 7), (2, 3, 7, 13), (31,), (2, 31))
+ROWS_SHA256 = "17cf105cb07893d30950a9d57b68642630580265b9c9549af49df4be23935b88"
+ROW_INDICES = random.Random(21).sample(range(3 * 24 * 48 * 288), 2000)
+INDEXED_ROWS_SHA256 = "6e92c4eeff07ee00e338bf726ab26b5250f170eba351da34dd97494491bb73f9"
+
+
+def test_product_rows_pinned():
+    rows = [list(product_character([steinberg_character_data(p) for p in ps]).entries) for ps in ROW_SETS]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROWS_SHA256
+    big = product_character([steinberg_character_data(p) for p in (2, 5, 7, 17)]).entries
+    indexed = [big[i] for i in ROW_INDICES]
+    assert hashlib.sha256(repr(indexed).encode()).hexdigest() == INDEXED_ROWS_SHA256
+
+
+def test_product_rows_read_class_counts_once_per_factor(monkeypatch):
+    primes = (2, 5, 7, 17)
+    prod = product_character([steinberg_character_data(p) for p in primes])
+    calls = []
+
+    def counting_class_type_counts(p):
+        calls.append(p)
+        return class_type_counts(p)
+
+    monkeypatch.setattr(gl2fp, "class_type_counts", counting_class_type_counts)
+    rows = prod.entries
+    assert sorted(calls) == sorted(primes)
+    calls.clear()
+    assert len(rows) == 3 * 24 * 48 * 288
+    for i in range(-len(rows), len(rows), 9973):
+        rows[i]
+    assert calls == []
+
+
 def test_product_zero_fraction_vs_explicit_group():
     # element-level cross-check on the explicit GL2(F3) x GL2(F5) group
     g3 = catalog.gl2_group(3)
@@ -296,7 +360,7 @@ def test_class_function_value_lookup():
     other = GL2Element(7, 1, 0, 0, 1)
     with pytest.raises(ValueError):
         st5.value_of(other)
-    # per-matrix values need no class data, so they hold past CLASS_DATA_MAX_P
+    # per-matrix values hold for any prime, here far past enumeration's reach
     for m in (GL2Element(503, 2, 0, 0, 2), GL2Element(503, 1, 1, 0, 1), GL2Element(503, 0, 502, 1, 0)):
         assert steinberg_value_of_matrix(m) == steinberg_value_by_fixed_points(m)
 
@@ -333,33 +397,8 @@ def test_gl2_partition_matches_classify(p):
     assert part.representatives == reference.representatives
     assert part.sizes == reference.sizes
     assert part.class_of == reference.class_of
-    assert sorted(part.sizes) == sorted(size for _, size in class_inventory(p))
-
-
-def test_class_data_bound(monkeypatch):
-    bound = gl2fp.CLASS_DATA_MAX_P
-    assert len(class_inventory(bound)) == bound * bound - 1
-    next_prime = next(q for q in range(bound + 1, 2 * bound) if gl2fp.is_prime(q))
-
-    def no_rows(*args):
-        raise AssertionError("built a class row past the bound")
-
-    monkeypatch.setattr(gl2fp, "ClassType", no_rows)
-    with pytest.raises(ValueError, match="bounded"):
-        class_inventory(next_prime)
-    with pytest.raises(ValueError, match="bounded"):
-        steinberg_character_data(next_prime)
-
-
-# sha256 of repr([class_inventory(p) for p in INVENTORY_PRIMES]), taken while
-# class_inventory and classify each special-cased p = 2
-INVENTORY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 499)
-INVENTORY_SHA256 = "5a7e2e021bb5318d3e8ce4a9c8f0eaca54a0de1a857806838da54b0bb7bfcb58"
-
-
-def test_class_inventories_pinned():
-    inventories = [class_inventory(p) for p in INVENTORY_PRIMES]
-    assert hashlib.sha256(repr(inventories).encode()).hexdigest() == INVENTORY_SHA256
+    counts = class_type_counts(p).values()
+    assert sorted(part.sizes) == sorted(size for count, size in counts for _ in range(count))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -176,6 +176,7 @@ def test_readme_bounds_match_the_code():
         ("sieveshift", "MAX_TRIAL_BOUND"),
         ("primes", "SIEVE_LIMIT"),
         ("sieveshift", "MAX_SCAN_N"),
+        ("ellstat", "NAIVE_MAX_Q"),
     } <= stated.keys()
     wrong = [
         f"{module}.{name} = {value} in README.md, {actual} in the code"
