@@ -11,7 +11,6 @@ from .groupcore import (
     QuotientMap,
     abelianization,
     commutator_subgroup,
-    conjugacy_classes,
     direct_product,
     fiber_product,
     is_nilpotent,

@@ -160,7 +160,7 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     if r > MAX_CLASSES:
         raise CharacterTableError(f"{r} classes exceeds bound {MAX_CLASSES}")
     n = group.order
-    class_of = np.asarray(part.class_of)
+    class_of = part.class_of
     indices = np.arange(n)
     inv_of = group.inv(indices)
     perms = [group.mul(indices, z) for z in part.representatives]
@@ -186,7 +186,7 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     omega = omega * _inverses_mod(pivot, l)[:, None] % l
     inv_sizes = _inverses_mod(part.sizes, l)
     # 1/d^2 = (1/|G|) sum_k omega_k omega_{k*} / |C_k|
-    kstar = class_of[inv_of[list(part.representatives)]]
+    kstar = class_of[inv_of[part.representatives]]
     inv_dsq = (omega * omega[:, kstar] % l) @ inv_sizes % l
     dsq = n % l * _inverses_mod(inv_dsq, l) % l
     found = dsq[:, None] == np.arange(1, isqrt(n) + 1) ** 2 % l
@@ -198,7 +198,7 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     mults = _lift(cycles, chi_mod, degrees, exponent, root, l)
     conductors = [mult.shape[1] for mult in mults]
     coords = [mult @ power_basis_matrix(n_k) for mult, n_k in zip(mults, conductors)]
-    _verify_table(n, part.sizes, degrees.tolist(), conductors, coords, exponent)
+    _verify_table(n, part.sizes.tolist(), degrees.tolist(), conductors, coords, exponent)
     values = [[] for _ in range(r)]
     for n_k, vecs in zip(conductors, coords):
         for row, vec in zip(values, vecs.tolist()):
@@ -288,7 +288,7 @@ def _lift(cycles, chi_mod, degrees, exponent, root, l) -> list[np.ndarray]:
     return mults
 
 
-def _verify_table(order: int, sizes, degrees, conductors, coeffs, exponent: int) -> None:
+def _verify_table(order: int, sizes: list[int], degrees, conductors, coeffs, exponent: int) -> None:
     """Raise CharacterTableError unless the characters are orthonormal.
 
     coeffs[k][c, j] is the integer coefficient of zeta_n^j, n = conductors[k]
@@ -303,7 +303,7 @@ def _verify_table(order: int, sizes, degrees, conductors, coeffs, exponent: int)
     # a reduced coordinate is at most the l1 norm of its ring element times
     # the largest basis entry, and no partial sum on the way exceeds that
     bound = int(np.abs(basis).max()) * sum(
-        int(size) * int(np.abs(c).sum(axis=1).max()) ** 2 for size, c in zip(sizes, coeffs)
+        size * int(np.abs(c).sum(axis=1).max()) ** 2 for size, c in zip(sizes, coeffs)
     )
     if bound > INT64_MAX:
         raise CharacterTableError(f"orthogonality sums up to {bound} overflow int64")

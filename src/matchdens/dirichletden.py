@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .primes import factorize_small, primitive_root, sieve_primes, totient
+from .primes import crt, factorize_small, primitive_root, sieve_primes, totient
 
 DEFAULT_S_SCHEDULE = (1.5, 1.2, 1.1, 1.05, 1.02)
 MAX_MODULUS = 10**4
@@ -76,15 +76,8 @@ def unit_group(N: int) -> UnitGroup:
     orders: list[int] = []
     for p, k in factorize_small(N):
         pk = p**k
-        rest = N // pk
         for g, order in _local_generators(p, k):
-            # lift: = g mod p^k, = 1 mod N/p^k
-            if rest == 1:
-                lifted = g % N
-            else:
-                inv = pow(pk, -1, rest)
-                lifted = (g + pk * ((1 - g) * inv % rest)) % N
-            gens.append(lifted)
+            gens.append(crt([g, 1], [pk, N // pk])[0])  # = g mod p^k, = 1 mod N/p^k
             orders.append(order)
     # every exponent vector in mixed radix, the first generator fastest
     residues = np.array([1 % N], dtype=np.int64)
@@ -184,27 +177,6 @@ def dirichlet_character(N: int, index: int) -> DirichletChar:
     return DirichletChar(N, tuple(exps))
 
 
-def character_index(chi: DirichletChar) -> int:
-    group = chi.group
-    idx, scale = 0, 1
-    for t, o in zip(chi.exponents, group.orders):
-        idx += t * scale
-        scale *= o
-    return idx
-
-
-def check_multiplicative(chi: DirichletChar) -> bool:
-    """Exhaustive multiplicativity check over (Z/N)* (N is small by module bound)."""
-    units = chi.group.units()
-    e = chi.order
-    for a in units:
-        va = chi.value_exponent(a)
-        for b in units:
-            if (va + chi.value_exponent(b)) % e != chi.value_exponent(a * b % chi.modulus):
-                return False
-    return True
-
-
 def exact_matching_density_dirichlet(x: DirichletChar, y: DirichletChar) -> Fraction:
     """Exact density of units where the two characters take the same value.
 
@@ -247,12 +219,6 @@ class PrimeIndicatorSeries:
             raise ValueError("one indicator per prime is required")
         if self.weights is not None and len(self.weights) != len(self.primes):
             raise ValueError("one weight per prime is required")
-
-
-def series_from_predicate(x_max: int, predicate) -> PrimeIndicatorSeries:
-    primes = sieve_primes(x_max)
-    marked = np.fromiter((bool(predicate(int(q))) for q in primes), dtype=bool, count=len(primes))
-    return PrimeIndicatorSeries(x_max=x_max, primes=primes, marked=marked)
 
 
 def matching_prime_series(

@@ -9,10 +9,12 @@ values such as matrices as tuples) appear only at the edges: `element`,
 `elements`, `index_of`, pulling class functions back along handle maps, and
 JSON.  Conjugacy classes come from one label per element
 (ConjClassPartition.from_labels): a group's `class_labels` hook when it has
-one, otherwise the least index of each orbit under conjugation.  Class
-functions with exact cyclotomic values, direct and fiber products (multiplied
-through the factors' products), quotient maps, and the exact matching / zero
-fractions live here.
+one, otherwise the least index of each orbit under conjugation.  Partitions,
+quotient maps and subgroups are read-only int64 index arrays, read as Python
+ints only by exact arithmetic and JSON.  Class functions with exact
+cyclotomic values, direct and fiber products (multiplied through the
+factors' products), quotient maps, and the exact matching / zero fractions
+live here.
 """
 
 from __future__ import annotations
@@ -46,34 +48,32 @@ class OrderBoundExceededError(ValueError):
     """A construction would exceed the configured order bound."""
 
 
-@dataclass(frozen=True)
-class ConjClassPartition:
-    """Partition of a group into conjugacy classes, ordered by minimal element index."""
+def _readonly(indices) -> np.ndarray:
+    """A read-only int64 copy of the given indices."""
+    out = np.array(indices, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    sizes: tuple[int, ...]
-    class_of: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class ConjClassPartition:
+    """Conjugacy classes by least element index, as read-only int64 arrays."""
+
+    representatives: np.ndarray
+    sizes: np.ndarray
+    class_of: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     @classmethod
     def from_labels(cls, labels) -> ConjClassPartition:
         """Classes are the sets of elements sharing a label, ordered by their
-        least element index, members ascending."""
+        least element index."""
         _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
         order = np.argsort(first)
         class_of = np.argsort(order)[inverse.ravel()]
-        sizes = np.bincount(class_of).tolist()
-        members = np.argsort(class_of, kind="stable").tolist()
-        ends = np.cumsum(sizes).tolist()
-        return cls(
-            classes=tuple(tuple(members[end - size:end]) for size, end in zip(sizes, ends)),
-            representatives=tuple(first[order].tolist()),
-            sizes=tuple(sizes),
-            class_of=tuple(class_of.tolist()),
-        )
+        return cls(*map(_readonly, (first[order], np.bincount(class_of), class_of)))
 
 
 def _least_in_orbits(n: int, rows: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
@@ -135,7 +135,8 @@ class FiniteGroup:
             raise InvalidGroupError("a group needs at least one element")
         if self.order > ORDER_LIMIT:
             raise OrderBoundExceededError(f"order {self.order} exceeds bound {ORDER_LIMIT}")
-        self._elements = elements if isinstance(elements, np.ndarray) else list(elements)
+        self._elements = elements if isinstance(elements, np.ndarray) else tuple(elements)
+        self._handles = None if isinstance(elements, np.ndarray) else self._elements
         self._op = op
         self.name = name
         self._index: dict | None = None
@@ -157,10 +158,11 @@ class FiniteGroup:
         return tuple(e.tolist()) if isinstance(self._elements, np.ndarray) else e
 
     @property
-    def elements(self) -> list:
-        if isinstance(self._elements, np.ndarray):
-            return [tuple(row) for row in self._elements.tolist()]
-        return list(self._elements)
+    def elements(self) -> tuple:
+        """Every element's handle in index order, built at most once."""
+        if self._handles is None:
+            self._handles = tuple(map(tuple, self._elements.tolist()))
+        return self._handles
 
     def index_of(self, handle: Hashable) -> int:
         if self._index is None:
@@ -296,13 +298,13 @@ class FiniteGroup:
         self.inv(idx)  # x^(order - 1), which needs associativity to be the inverse
         self._validated = True
 
-    def center_indices(self) -> list[int]:
+    def center_indices(self) -> np.ndarray:
         gens = self.generator_indices or range(self.order)
         idx = np.arange(self.order)
         central = np.ones(self.order, dtype=bool)
         for g in gens:
             central &= self.mul(idx, g) == self.mul(g, idx)
-        return np.flatnonzero(central).tolist()
+        return _readonly(np.flatnonzero(central))
 
     # -- conjugacy
 
@@ -345,18 +347,13 @@ class FiniteGroup:
         rows = self._conjugation(np.array(gens))
         return _least_in_orbits(n, lambda: [rows])
 
-    def subgroup_closure(self, seed_indices: Sequence[int]) -> list[int]:
+    def subgroup_closure(self, seed_indices: Sequence[int]) -> np.ndarray:
         """Indices of the subgroup generated by the given element indices: the
         orbit of the identity under right multiplication by them."""
         idx = np.arange(self.order)
         blocks = list(self._row_blocks(np.unique(np.asarray(seed_indices, dtype=np.int64))))
         least = _least_in_orbits(self.order, lambda: (self.mul(idx, s[:, None]) for s in blocks))
-        return np.flatnonzero(least == least[self.identity]).tolist()
-
-
-def conjugacy_classes(group: FiniteGroup) -> ConjClassPartition:
-    """Full conjugacy-class partition, classes ordered by minimal element index."""
-    return group.conjugacy_classes()
+        return _readonly(np.flatnonzero(least == least[self.identity]))
 
 
 # -- products
@@ -401,9 +398,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteG
         gens += [(e_g, h.element(j)) for j in h.generator_indices]
 
     def paired_labels(product: FiniteGroup) -> np.ndarray:
-        class_of_g = np.asarray(g.conjugacy_classes().class_of)
-        part_h = h.conjugacy_classes()
-        return np.add.outer(class_of_g * len(part_h), part_h.class_of).ravel()
+        part_g, part_h = g.conjugacy_classes(), h.conjugacy_classes()
+        return np.add.outer(part_g.class_of * len(part_h), part_h.class_of).ravel()
 
     return _pair_group(
         g,
@@ -417,23 +413,24 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteG
 
 @dataclass
 class QuotientMap:
-    """A surjective homomorphism from source onto target, as an index map."""
+    """A surjective homomorphism from source onto target, as a read-only int64 index map."""
 
     source: FiniteGroup
     target: FiniteGroup
-    mapping: tuple[int, ...]
+    mapping: np.ndarray
 
     def __post_init__(self):
+        self.mapping = _readonly(self.mapping)
         if len(self.mapping) != self.source.order:
             raise InvalidGroupError("mapping must cover every source element")
         self.check()
 
     def check(self) -> None:
         """Verify surjectivity and the homomorphism law (exhaustively when small)."""
-        if len(set(self.mapping)) != self.target.order:
+        if len(np.unique(self.mapping)) != self.target.order:
             raise InvalidGroupError("map is not surjective")
         n = self.source.order
-        image, idx = np.asarray(self.mapping), np.arange(n)
+        image, idx = self.mapping, np.arange(n)
         if n <= FULL_HOMOMORPHISM_LIMIT:
             blocks = self.source._row_blocks(idx)
             pairs = (np.broadcast_arrays(rows[:, None], idx) for rows in blocks)
@@ -476,10 +473,10 @@ def quotient_by(group: FiniteGroup, normal_indices: Sequence[int], *, name: str 
         return mapping[group.mul(reps[a], reps[b])]
 
     target = FiniteGroup(reps.tolist(), op, name=name or f"{group.name or 'G'}/N")
-    return QuotientMap(source=group, target=target, mapping=tuple(mapping.tolist()))
+    return QuotientMap(source=group, target=target, mapping=mapping)
 
 
-def commutator_subgroup(group: FiniteGroup) -> list[int]:
+def commutator_subgroup(group: FiniteGroup) -> np.ndarray:
     """Indices of the derived subgroup (closure of all commutators)."""
     if group.order > TABLE_LIMIT:
         raise OrderBoundExceededError("commutator subgroup needs order <= TABLE_LIMIT")
@@ -519,9 +516,8 @@ def fiber_product(
     if expected > ORDER_LIMIT:
         raise OrderBoundExceededError("fiber product exceeds the order bound")
     # h's indices grouped by image, ascending within each group
-    image_h = np.asarray(qh.mapping)
-    counts = np.bincount(image_h, minlength=qh.target.order)
-    over = np.split(np.argsort(image_h, kind="stable"), np.cumsum(counts)[:-1])
+    counts = np.bincount(qh.mapping, minlength=qh.target.order)
+    over = np.split(np.argsort(qh.mapping, kind="stable"), np.cumsum(counts)[:-1])
     pairs = np.concatenate([i * h.order + over[t] for i, t in enumerate(qg.mapping)])
     if len(pairs) != expected:
         raise InvalidGroupError(
@@ -581,7 +577,7 @@ def _require_same_group(x: ClassFunction, y: ClassFunction) -> FiniteGroup:
 def inner_product(x: ClassFunction, y: ClassFunction) -> CycValue:
     """Exact (1/|G|) sum_k |C_k| x_k conj(y_k) over the conjugacy classes C_k."""
     group = _require_same_group(x, y)
-    sizes = group.conjugacy_classes().sizes
+    sizes = group.conjugacy_classes().sizes.tolist()
     return hermitian_sum(sizes, x.values, y.values) * Fraction(1, group.order)
 
 
@@ -590,7 +586,7 @@ def matching_fraction(x: ClassFunction, y: ClassFunction) -> Fraction:
     group = _require_same_group(x, y)
     part = group.conjugacy_classes()
     matched = sum(
-        size for size, vx, vy in zip(part.sizes, x.values, y.values) if vx == vy
+        size for size, vx, vy in zip(part.sizes.tolist(), x.values, y.values) if vx == vy
     )
     return Fraction(matched, group.order)
 
@@ -598,15 +594,8 @@ def matching_fraction(x: ClassFunction, y: ClassFunction) -> Fraction:
 def zero_fraction(x: ClassFunction) -> Fraction:
     """Exact fraction of group elements where the class function vanishes."""
     part = x.group.conjugacy_classes()
-    zero = sum(size for size, v in zip(part.sizes, x.values) if v.is_zero())
+    zero = sum(size for size, v in zip(part.sizes.tolist(), x.values) if v.is_zero())
     return Fraction(zero, x.group.order)
-
-
-def matching_fraction_bruteforce(x: ClassFunction, y: ClassFunction) -> Fraction:
-    """Element-by-element recount of matching_fraction (oracle for tests)."""
-    group = _require_same_group(x, y)
-    matched = sum(1 for i in range(group.order) if x.value_at(i) == y.value_at(i))
-    return Fraction(matched, group.order)
 
 
 # -- nilpotency
@@ -616,13 +605,12 @@ def is_nilpotent(group: FiniteGroup) -> bool:
     """True iff the ascending central series reaches the whole group."""
     if group.order > 10**4:
         raise OrderBoundExceededError("nilpotency check is bounded at order 1e4")
-    current = set(group.center_indices())
-    if not current:
+    current = group.center_indices()
+    if not len(current):
         raise InvalidGroupError("group has an empty center")
     while len(current) < group.order:
-        q = quotient_by(group, sorted(current))
-        center_above = set(q.target.center_indices())
-        lifted = {i for i in range(group.order) if q.mapping[i] in center_above}
+        q = quotient_by(group, current)
+        lifted = np.flatnonzero(np.isin(q.mapping, q.target.center_indices()))
         if len(lifted) == len(current):
             return False
         current = lifted
@@ -636,21 +624,11 @@ def _fraction_json(q: Fraction) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def _fraction_from_json(doc: dict) -> Fraction:
-    return Fraction(int(doc["num"]), int(doc["den"]))
-
-
 def cyc_value_to_json(v: CycValue) -> dict:
     return {
         "conductor": v.conductor,
         "coeffs": [_fraction_json(c) for c in v.power_basis()],
     }
-
-
-def cyc_value_from_json(doc: dict) -> CycValue:
-    e = int(doc["conductor"])
-    coeffs = {j: _fraction_from_json(c) for j, c in enumerate(doc["coeffs"])}
-    return CycValue(e, coeffs)
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -679,15 +657,6 @@ def class_function_to_json(cf: ClassFunction) -> dict:
         "name": cf.name,
         "values": [cyc_value_to_json(v) for v in cf.values],
     }
-
-
-def class_function_from_json(group: FiniteGroup, doc: dict) -> ClassFunction:
-    if doc.get("kind") != "class_function":
-        raise ValueError("not a class-function document")
-    if int(doc["group_order"]) != group.order:
-        raise GroupMismatchError("document was serialized from a different group")
-    values = [cyc_value_from_json(v) for v in doc["values"]]
-    return ClassFunction(group, values, name=doc.get("name", ""))
 
 
 def dumps(doc: dict) -> str:

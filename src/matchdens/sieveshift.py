@@ -84,13 +84,6 @@ class ShiftSpec:
                 raise ValueError(f"f(B) is divisible by {p} < T")
 
 
-def primorial_below(T: int) -> int:
-    out = 1
-    for p in primes_below(T):
-        out *= p
-    return out
-
-
 def shifted_poly(f: QuadPoly, A: int, B: int) -> QuadPoly:
     """Exact expansion of f(A n + B)."""
     a, b, c = f.a, f.b, f.c

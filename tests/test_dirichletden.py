@@ -8,8 +8,6 @@ import pytest
 
 from matchdens.dirichletden import (
     PrimeIndicatorSeries,
-    character_index,
-    check_multiplicative,
     difference_weight_series,
     dirichlet_character,
     dirichlet_characters,
@@ -18,11 +16,39 @@ from matchdens.dirichletden import (
     lower_density_diagnostic,
     matching_prime_series,
     natural_density_estimate,
-    series_from_predicate,
     sieve_primes,
     unit_group,
 )
 from matchdens.primes import SIEVE_LIMIT
+
+
+def character_index(chi):
+    """The index dirichlet_character(N, index) gives chi: its exponents in
+    mixed radix, the first generator fastest."""
+    idx, scale = 0, 1
+    for t, o in zip(chi.exponents, chi.group.orders):
+        idx += t * scale
+        scale *= o
+    return idx
+
+
+def check_multiplicative(chi):
+    """Exhaustive multiplicativity check over (Z/N)*."""
+    units = chi.group.units()
+    e = chi.order
+    for a in units:
+        va = chi.value_exponent(a)
+        for b in units:
+            if (va + chi.value_exponent(b)) % e != chi.value_exponent(a * b % chi.modulus):
+                return False
+    return True
+
+
+def series_from_predicate(x_max, predicate):
+    """Indicator series of the primes q <= x_max with predicate(q)."""
+    primes = sieve_primes(x_max)
+    marked = np.fromiter((bool(predicate(int(q))) for q in primes), dtype=bool, count=len(primes))
+    return PrimeIndicatorSeries(x_max=x_max, primes=primes, marked=marked)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12, 16, 24, 45, 50, 97])

@@ -23,7 +23,6 @@ from matchdens.groupcore import (
     fiber_product,
     is_nilpotent,
     matching_fraction,
-    matching_fraction_bruteforce,
     pullback,
     quotient_by,
     zero_fraction,
@@ -33,6 +32,31 @@ from matchdens.groupcore import (
 @lru_cache(maxsize=None)
 def _group(name):
     return catalog.named_group(name)
+
+
+def matching_fraction_bruteforce(x, y):
+    """Element-by-element recount of matching_fraction: the oracle."""
+    assert x.group is y.group
+    group = x.group
+    matched = sum(1 for i in range(group.order) if x.value_at(i) == y.value_at(i))
+    return Fraction(matched, group.order)
+
+
+def _fraction_from_json(doc):
+    return Fraction(int(doc["num"]), int(doc["den"]))
+
+
+def cyc_value_from_json(doc):
+    """The inverse of groupcore.cyc_value_to_json."""
+    coeffs = {j: _fraction_from_json(c) for j, c in enumerate(doc["coeffs"])}
+    return CycValue(int(doc["conductor"]), coeffs)
+
+
+def class_function_from_json(group, doc):
+    """The inverse of groupcore.class_function_to_json."""
+    assert doc["kind"] == "class_function" and int(doc["group_order"]) == group.order
+    values = [cyc_value_from_json(v) for v in doc["values"]]
+    return ClassFunction(group, values, name=doc.get("name", ""))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +103,8 @@ def test_classes_closed_under_conjugation():
     for name in ("s3", "q8", "sl2f3"):
         g = _group(name)
         part = g.conjugacy_classes()
-        for members in part.classes:
+        for k in range(len(part)):
+            members = np.flatnonzero(part.class_of == k).tolist()
             mset = set(members)
             for x in members:
                 for t in range(g.order):
@@ -128,7 +153,7 @@ def test_small_group_calls_op_once():
     group = FiniteGroup(q8.elements, counting, name="q8", generators=[(0, 1), (0, 2)])
     assert calls == [((8, 1), (8,))]
     group.validate()
-    assert group.conjugacy_classes().sizes == (1, 2, 2, 2, 1)
+    assert group.conjugacy_classes().sizes.tolist() == [1, 2, 2, 2, 1]
     assert len(character_table_small(group)) == 5
     assert len(calls) == 1
     # a group of order 129 has more products than one block holds
@@ -150,7 +175,47 @@ def test_product_classes_match_generic_orbit_search():
     c6, s3 = _group("cyclic:6"), _group("s3")
     prod = direct_product(c6, s3)
     generic = FiniteGroup(prod.elements, prod._op)
-    assert prod.conjugacy_classes().classes == generic.conjugacy_classes().classes
+    assert np.array_equal(prod.conjugacy_classes().class_of, generic.conjugacy_classes().class_of)
+
+
+@pytest.mark.parametrize("name", ["q8", "gl2fp:3"])  # handles given as a sequence; as an array
+def test_element_handles_are_built_once(name):
+    g = catalog.named_group(name)
+    assert g.elements is g.elements
+    assert len(g.elements) == g.order
+    assert [g.index_of(h) for h in g.elements] == list(range(g.order))
+
+
+def test_index_data_are_read_only_int64_arrays():
+    sl2 = catalog.sl2f3_group()
+    part, q = sl2.conjugacy_classes(), abelianization(sl2)
+    subgroups = (sl2.center_indices(), commutator_subgroup(sl2), sl2.subgroup_closure([1]))
+    for indices in (part.representatives, part.sizes, part.class_of, q.mapping, *subgroups):
+        assert indices.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            indices[0] = 1
+    # a mapping passed in is stored as a read-only copy: the caller's list or array stays its own
+    c6, c3 = catalog.cyclic_group(6), catalog.cyclic_group(3)
+    image = np.arange(6) % 3
+    q = groupcore.QuotientMap(source=c6, target=c3, mapping=image)
+    image[0] = 2
+    assert q.mapping.tolist() == [0, 1, 2, 0, 1, 2] and not q.mapping.flags.writeable
+
+
+def test_exact_arithmetic_takes_python_ints():
+    # class sizes leave the int64 arrays as ints: an int64 in a Fraction or a
+    # cyclotomic sum would wrap instead of growing
+    sl2, chi = _sl2_integer_char()
+    q = abelianization(sl2)
+    fib = fiber_product(sl2, sl2, q, q)
+    left = pullback(chi, fib, lambda pair: pair[0])
+    right = pullback(chi, fib, lambda pair: pair[1])
+    for value in (matching_fraction(left, right), zero_fraction(left)):
+        assert type(value.numerator) is int and type(value.denominator) is int
+    table = character_table_small(sl2)
+    for x in table:
+        coords = groupcore.inner_product(x, table[-1]).canonical()
+        assert all(type(c.numerator) is int and type(c.denominator) is int for c in coords)
 
 
 def _sl2_quotient(target):
@@ -209,7 +274,7 @@ def _handle_product(name):
     if name.startswith("sl2/"):
         # handles are the least source indices of the cosets of the kernel
         q = _sl2_quotient(name[4:])
-        sl2, image = q.source, q.mapping
+        sl2, image = q.source, q.mapping.tolist()
         least = {t: image.index(t) for t in set(image)}
         mat = _matrix_product(3)
         return lambda a, b: least[image[sl2.index_of(mat(sl2.element(a), sl2.element(b)))]]
@@ -264,11 +329,12 @@ def test_orbit_labels_match_brute_force(name):
     group.ensure_table()
     assert group._orbit_labels().tolist() == least  # on the table
     part = group.conjugacy_classes()  # through the group's class_labels hook, if any
-    assert part.classes == classes
-    assert part.representatives == tuple(c[0] for c in classes)
-    assert part.sizes == tuple(len(c) for c in classes)
+    members = [tuple(np.flatnonzero(part.class_of == k).tolist()) for k in range(len(part))]
+    assert tuple(members) == classes
+    assert part.representatives.tolist() == [c[0] for c in classes]
+    assert part.sizes.tolist() == [len(c) for c in classes]
     position = {c[0]: k for k, c in enumerate(classes)}
-    assert part.class_of == tuple(position[label] for label in least)
+    assert part.class_of.tolist() == [position[label] for label in least]
 
 
 # sha256 of json.dumps([representatives, sizes, class_of]) for each group's
@@ -310,7 +376,7 @@ PARTITION_SHA256 = {
 @pytest.mark.parametrize("name", list(PARTITION_SHA256))
 def test_partitions_pinned(name):
     part = _fresh_group(name).conjugacy_classes()
-    text = json.dumps([part.representatives, part.sizes, part.class_of])
+    text = json.dumps([part.representatives.tolist(), part.sizes.tolist(), part.class_of.tolist()])
     assert hashlib.sha256(text.encode()).hexdigest() == PARTITION_SHA256[name]
 
 
@@ -506,7 +572,7 @@ def test_serialization_round_trip():
     doc = groupcore.class_function_to_json(chi)
     text = groupcore.dumps(doc)
     assert '"num"' in text and '"den"' in text
-    back = groupcore.class_function_from_json(sl2, doc)
+    back = class_function_from_json(sl2, doc)
     assert all(a == b for a, b in zip(back.values, chi.values))
     gdoc = groupcore.group_to_json(sl2)
     assert gdoc["order"] == 24 and len(gdoc["classes"]) == 7
@@ -536,7 +602,7 @@ def test_pullback_along_quotient():
 def test_cyc_value_round_trip_json():
     v = CycValue(12, {1: Fraction(1, 2), 7: Fraction(-2, 3)})
     doc = groupcore.cyc_value_to_json(v)
-    assert groupcore.cyc_value_from_json(doc) == v
+    assert cyc_value_from_json(doc) == v
 
 
 def test_order_bound_is_checked_before_listing_elements():

@@ -16,9 +16,16 @@ from matchdens.sieveshift import (
     find_shift,
     has_factor_below,
     pairwise_coprime,
-    primorial_below,
     shifted_poly,
 )
+
+
+def primorial_below(T):
+    """The product of the primes below T."""
+    out = 1
+    for p in primes_below(T):
+        out *= p
+    return out
 
 
 def test_quadpoly_validation():

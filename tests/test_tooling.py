@@ -162,6 +162,38 @@ def test_benchmark_wraps_only_names_that_exist():
     assert not missing, "perfbench/layers.py wraps missing names: " + ", ".join(missing)
 
 
+def _package_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, attribute) of every `name.attr` read where name is a module
+    imported from matchdens, under its alias if it has one."""
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "matchdens"
+        for alias in node.names
+    }
+    return {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+
+
+def test_benchmark_reads_only_names_that_exist():
+    # a renamed or deleted name would fail the benchmark on one commit only
+    reads = {}
+    for path in (LAYERS.parent / "workloads.py", LAYERS):
+        reads[path.name] = _package_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert ("ellstat", "count_points_naive") in reads["workloads.py"]
+    assert ("primes", "is_prime") in reads["workloads.py"]  # read as mprimes.is_prime
+    missing = [
+        f"{name}: {module}.{attr}"
+        for name, found in reads.items()
+        for module, attr in sorted(found)
+        if not hasattr(importlib.import_module(f"matchdens.{module}"), attr)
+    ]
+    assert not missing, "perfbench reads missing names: " + ", ".join(missing)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 # `module.NAME` = value, the value written as 2^k, 10^k or an integer
 STATED_BOUND = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d+)(?:\^(\d+))?")
