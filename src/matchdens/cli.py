@@ -133,20 +133,21 @@ def _preset_approx_plan(name: str):
 
 
 def _cmd_gl2(args) -> tuple[dict, bool]:
-    from . import presets
+    from . import gl2fp
 
-    report = presets.steinberg_report(args.p)
+    data = gl2fp.steinberg_character_data(args.p)
+    norm = data.norm()
     payload = {
-        "p": report["p"],
-        "group_order": report["group_order"],
-        "class_count": report["class_count"],
-        "class_type_fractions": {k: _rat(v) for k, v in report["class_type_fractions"].items()},
-        "steinberg_zero_fraction": _rat(report["steinberg_zero_fraction"]),
-        "steinberg_nonzero_fraction": _rat(report["steinberg_nonzero_fraction"]),
-        "steinberg_norm": _rat(report["steinberg_norm"]),
-        "norm_check": report["norm_check"],
+        "p": args.p,
+        "group_order": gl2fp.gl2_order(args.p),
+        "class_count": data.class_count,
+        "class_type_fractions": {k: _rat(v) for k, v in gl2fp.class_type_fractions(args.p).items()},
+        "steinberg_zero_fraction": _rat(data.zero_fraction()),
+        "steinberg_nonzero_fraction": _rat(data.nonzero_fraction()),
+        "steinberg_norm": _rat(norm),
+        "norm_check": norm == 1,
     }
-    return payload, report["norm_check"]
+    return payload, norm == 1
 
 
 def _cmd_fiber(args) -> tuple[dict, bool]:

@@ -7,8 +7,7 @@ all of them 1.  That form is unique, so equality at one conductor is tuple
 equality; values at different conductors are compared inside the field of
 their lcm.  Every result is built as an integer polynomial in z and reduced
 once modulo the monic cyclotomic polynomial Phi_e, in integer arithmetic.
-`canonical()` and `power_basis()` return the coordinates as `Fraction`s;
-`sort_key()` returns them as ints, for algebraic integers only.
+`canonical()` and `power_basis()` return the coordinates as `Fraction`s.
 `power_basis_matrix(e)` holds the integer coordinates of every power of z at
 once, so that array code can move between sums of roots of unity and
 coordinates with one matrix product.
@@ -245,15 +244,6 @@ class CycValue:
         return a._den == b._den and a._num == b._num
 
     __hash__ = None  # equality crosses conductors; hashing would be a trap
-
-    def sort_key(self, conductor: int) -> tuple[int, ...]:
-        """Deterministic comparison key of an algebraic integer, such as a
-        character value: its integer power-basis coordinates at a fixed common
-        conductor.  Raises ValueError when a coordinate is not an integer."""
-        value = self.embed(conductor)
-        if value._den != 1:
-            raise ValueError(f"{self!r} is not an algebraic integer")
-        return value._num
 
     def __repr__(self) -> str:
         if self.is_rational():

@@ -8,7 +8,10 @@ the predicted density provably lands within epsilon of a target: candidate
 stopping points are located in floating point, then certified with exact
 integer arithmetic.  Long windows keep the product as an unreduced
 numerator/denominator pair, because reducing a multi-megabit fraction costs
-more than every other step combined.
+more than every other step combined.  With epsilon = 0 the zero planner runs
+the same greedy walk from the least prime above 7 and keeps the crossing only
+if it equals the target, checked by cross multiplication; the matching
+planner answers epsilon = 0 from its exact presets alone.
 """
 
 from __future__ import annotations
@@ -219,11 +222,17 @@ def _le(num: int, den: int, bound: Fraction) -> bool:
 class _PlannerState:
     def __init__(self, bound: int):
         self.bound = bound
-        self.primes = sieve_primes(bound)
         with np.errstate(divide="ignore"):
             self.neglog = np.cumsum(-np.log1p(-1.0 / self.primes.astype(np.float64)))
         self.checkpoints: dict[int, list] = {}
         self.full: dict[int, tuple[int, int]] = {}
+
+    @property
+    def primes(self) -> np.ndarray:
+        """The primes up to bound, sliced from the current shared table: a table
+        grown since holds the same primes, and keeping a slice of the old one
+        would keep that whole table alive."""
+        return sieve_primes(self.bound)
 
     def start_index(self, floor) -> int:
         """Index of the least prime strictly greater than max(7, floor)."""
@@ -259,6 +268,15 @@ class _PlannerState:
         return self.full[i0]
 
 
+def _checked_target(c, eps) -> tuple[Fraction, Fraction]:
+    c, eps = Fraction(c), Fraction(eps)
+    if not 0 <= c <= 1:
+        raise ValueError("target must lie in [0, 1]")
+    if eps < 0:
+        raise ValueError("epsilon must be non-negative")
+    return c, eps
+
+
 def _checked_prime_bound(prime_bound: int | None) -> int:
     bound = DEFAULT_PLANNER_PRIME_BOUND if prime_bound is None else prime_bound
     if not 2 <= bound <= MAX_PLANNER_PRIME_BOUND:
@@ -274,19 +292,17 @@ def _planner_state(bound: int) -> _PlannerState:
     return _PlannerState(bound)
 
 
-def _query_state(bound: int) -> _PlannerState:
-    """The state for bound, its slice re-taken once per query: a prime table
-    grown since holds the same primes, and a slice of the old one would keep
-    that whole table alive."""
-    state = _planner_state(bound)
-    state.primes = sieve_primes(bound)
-    return state
-
-
 def _window_from_state(state: _PlannerState, i0: int, j: int) -> PrimeWindow:
     return PrimeWindow(
         primes=tuple(state.primes[i0 : j + 1].tolist()),
         start_index=i0 + 1,
+    )
+
+
+def _below_reach(state: _PlannerState, threshold: Fraction) -> PlannerBudgetError:
+    return PlannerBudgetError(
+        f"target below reach: even the full window up to {state.bound} has "
+        f"density above {float(threshold):.6g}"
     )
 
 
@@ -301,32 +317,26 @@ def _find_first_crossing(
     """
     if threshold <= 0:
         raise PlannerBudgetError("a positive-length window always has positive density")
+    primes = state.primes
     base = state.neglog[i0 - 1] if i0 > 0 else 0.0
     need = -math.log(float(threshold))
     j = int(np.searchsorted(state.neglog, base + need, side="left"))
-    if j >= len(state.primes):
+    if j >= len(primes):
         full_num, full_den = state.exact_full(i0)
-        if _le(full_num, full_den, threshold):
-            j = len(state.primes) - 1  # float undershot; exact walk will retreat
-        else:
-            raise PlannerBudgetError(
-                f"target below reach: even the full window up to {state.bound} has "
-                f"density above {float(threshold):.6g}"
-            )
+        if not _le(full_num, full_den, threshold):
+            raise _below_reach(state, threshold)
+        j = len(primes) - 1  # float undershot; exact walk will retreat
     j = max(j, i0)
     num, den = state.exact_prefix(i0, j)
     while not _le(num, den, threshold):
         j += 1
-        if j >= len(state.primes):
-            raise PlannerBudgetError(
-                f"target below reach: even the full window up to {state.bound} has "
-                f"density above {float(threshold):.6g}"
-            )
-        p = int(state.primes[j])
+        if j >= len(primes):
+            raise _below_reach(state, threshold)
+        p = int(primes[j])
         num *= p - 1
         den *= p
     while j > i0:
-        p = int(state.primes[j])
+        p = int(primes[j])
         prev_num, prev_den = num // (p - 1), den // p
         if _le(prev_num, prev_den, threshold):
             j -= 1
@@ -348,45 +358,29 @@ def approximate_zero_density(
     Follows the greedy construction: start at the least prime exceeding
     max(7, 1/eps), extend while the product stays above c + eps, stop at the
     first crossing.  The gap bound 1/p_k makes the crossing land inside
-    [c - eps, c + eps]; the returned plan is certified exactly.  A prime_bound
-    outside [2, MAX_PLANNER_PRIME_BOUND] is refused with ValueError before
-    anything is sieved.
+    [c - eps, c + eps]; the returned plan is certified exactly.  eps = 0 runs
+    the same walk from the least prime above 7 and keeps its crossing only if
+    it equals c; otherwise, and for c outside (0, 1), it is refused with
+    TooSmallEpsilonError.  A prime_bound outside [2, MAX_PLANNER_PRIME_BOUND]
+    is refused with ValueError before anything is sieved.
     """
-    c, eps = Fraction(c), Fraction(eps)
-    if not 0 <= c <= 1:
-        raise ValueError("target must lie in [0, 1]")
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
-    state = _query_state(_checked_prime_bound(prime_bound))
-    if eps == 0:
-        return _exact_zero_hit(state, c)
-    i0 = state.start_index(1 / eps)
+    c, eps = _checked_target(c, eps)
+    bound = _checked_prime_bound(prime_bound)
+    if eps == 0 and not 0 < c < 1:
+        raise TooSmallEpsilonError("epsilon 0 needs a target realized by a finite window")
+    state = _planner_state(bound)
+    i0 = state.start_index(1 / eps if eps else 7)
     j, num, den = _find_first_crossing(state, i0, c + eps)
     if not _within(num, den, c, eps):
+        if eps == 0:
+            raise TooSmallEpsilonError(
+                f"target {c} is not hit exactly by any window at this work bound"
+            )
         raise AssertionError("greedy crossing escaped the certified band")
     return ApproxPlan(
         mode=MODE_ZERO,
         target=c,
         epsilon=eps,
-        predicted_num=num,
-        predicted_den=den,
-        window=_window_from_state(state, i0, j),
-    )
-
-
-def _exact_zero_hit(state: _PlannerState, c: Fraction) -> ApproxPlan:
-    if c <= 0 or c >= 1:
-        raise TooSmallEpsilonError("epsilon 0 needs a target realized by a finite window")
-    i0 = state.start_index(Fraction(7))
-    j, num, den = _find_first_crossing(state, i0, c)
-    if Fraction(num, den) != c:
-        raise TooSmallEpsilonError(
-            f"target {c} is not hit exactly by any window at this work bound"
-        )
-    return ApproxPlan(
-        mode=MODE_ZERO,
-        target=c,
-        epsilon=Fraction(0),
         predicted_num=num,
         predicted_den=den,
         window=_window_from_state(state, i0, j),
@@ -403,11 +397,7 @@ def approximate_matching_density(
     A prime_bound outside [2, MAX_PLANNER_PRIME_BOUND] is refused with
     ValueError before anything is sieved.
     """
-    c, eps = Fraction(c), Fraction(eps)
-    if not 0 <= c <= 1:
-        raise ValueError("target must lie in [0, 1]")
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
+    c, eps = _checked_target(c, eps)
     bound = _checked_prime_bound(prime_bound)
     if eps == 0:
         plan = preset_matching_plan(c)
@@ -416,7 +406,7 @@ def approximate_matching_density(
                 f"epsilon 0 matching plans exist only for preset targets, not {c}"
             )
         return plan
-    state = _query_state(bound)
+    state = _planner_state(bound)
     half = eps / 2
     c_base = max(Fraction(0), c - half)
     i0 = state.start_index(1 / half)
@@ -442,35 +432,25 @@ def preset_matching_plan(c: Fraction) -> ApproxPlan | None:
     """Exact-matching presets: the tetrahedral 17/32 and the twisted
     central-extension family 1 - 1/(2 k^2)."""
     c = Fraction(c)
-    if c == Fraction(17, 32):
-        return ApproxPlan(
-            mode=MODE_MATCHING,
-            target=c,
-            epsilon=Fraction(0),
-            predicted_num=17,
-            predicted_den=32,
-            window=None,
-            twist_order=None,
-            preset="tetrahedral-17-32",
-        )
     gap = 1 - c
-    if gap > 0 and (1 / (2 * gap)).denominator == 1:
-        ksq = 1 / (2 * gap)
-        k = math.isqrt(int(ksq))
-        if k * k == ksq:
-            base = 1 - Fraction(1, k * k)
-            value = twist_density(base, 2)
-            return ApproxPlan(
-                mode=MODE_MATCHING,
-                target=c,
-                epsilon=Fraction(0),
-                predicted_num=value.numerator,
-                predicted_den=value.denominator,
-                window=None,
-                twist_order=2,
-                preset=f"serre-k:{k}",
-            )
-    return None
+    ksq = 1 / (2 * gap) if gap > 0 else Fraction(0)  # c = 1 - 1/(2 k^2)
+    k = math.isqrt(int(ksq))
+    if c == Fraction(17, 32):
+        value, twist_order, name = c, None, "tetrahedral-17-32"
+    elif k and k * k == ksq:
+        value, twist_order, name = twist_density(1 - Fraction(1, k * k), 2), 2, f"serre-k:{k}"
+    else:
+        return None
+    return ApproxPlan(
+        mode=MODE_MATCHING,
+        target=c,
+        epsilon=Fraction(0),
+        predicted_num=value.numerator,
+        predicted_den=value.denominator,
+        window=None,
+        twist_order=twist_order,
+        preset=name,
+    )
 
 
 # -- independent re-verification

@@ -48,6 +48,18 @@ class OrderBoundExceededError(ValueError):
     """A construction would exceed the configured order bound."""
 
 
+def _checked_indices(indices, order: int) -> np.ndarray:
+    """The given element indices as an int64 array, refused with
+    InvalidGroupError unless every one is an integer in [0, order)."""
+    out = np.asarray(indices)
+    if out.size and out.dtype.kind not in "iu":
+        raise InvalidGroupError(f"element indices must be integers, not {out.dtype}")
+    out = out.astype(np.int64, copy=False)
+    if out.size and (out.min() < 0 or out.max() >= order):
+        raise InvalidGroupError(f"an element index falls outside [0, {order})")
+    return out
+
+
 def _readonly(indices) -> np.ndarray:
     """A read-only int64 copy of the given indices."""
     out = np.array(indices, dtype=np.int64)
@@ -351,7 +363,7 @@ class FiniteGroup:
         """Indices of the subgroup generated by the given element indices: the
         orbit of the identity under right multiplication by them."""
         idx = np.arange(self.order)
-        blocks = list(self._row_blocks(np.unique(np.asarray(seed_indices, dtype=np.int64))))
+        blocks = list(self._row_blocks(np.unique(_checked_indices(seed_indices, self.order))))
         least = _least_in_orbits(self.order, lambda: (self.mul(idx, s[:, None]) for s in blocks))
         return _readonly(np.flatnonzero(least == least[self.identity]))
 
@@ -420,7 +432,7 @@ class QuotientMap:
     mapping: np.ndarray
 
     def __post_init__(self):
-        self.mapping = _readonly(self.mapping)
+        self.mapping = _readonly(_checked_indices(self.mapping, self.target.order))
         if len(self.mapping) != self.source.order:
             raise InvalidGroupError("mapping must cover every source element")
         self.check()
@@ -450,7 +462,7 @@ def quotient_by(group: FiniteGroup, normal_indices: Sequence[int], *, name: str 
     ordering of the quotient's elements; the quotient multiplies coset
     representatives in G.
     """
-    members = np.unique(np.asarray(normal_indices, dtype=np.int64))
+    members = np.unique(_checked_indices(normal_indices, group.order))
     in_n = np.zeros(group.order, dtype=bool)
     in_n[members] = True
     if not in_n[group.identity]:

@@ -1,16 +1,14 @@
 """Reproduction presets for the headline exact densities.
 
 These wire the low-level modules together: the tetrahedral fiber-product
-configuration (matching density 17/32) and the GL2 report for one prime
-(class-type fractions plus the p-dimensional character's zero fraction and
-norm).
+configuration (matching density 17/32).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import catalog, gl2fp, groupcore
+from . import catalog, groupcore
 from .chartable import character_table_small, integer_valued_two_dimensional
 
 
@@ -34,17 +32,3 @@ def tetrahedral_matching_density() -> tuple[Fraction, dict]:
     }
     return value, details
 
-
-def steinberg_report(p: int) -> dict:
-    """Exact class-type fractions and the p-dimensional character's numbers."""
-    data = gl2fp.steinberg_character_data(p)
-    return {
-        "p": p,
-        "group_order": gl2fp.gl2_order(p),
-        "class_count": data.class_count,
-        "class_type_fractions": gl2fp.class_type_fractions(p),
-        "steinberg_zero_fraction": data.zero_fraction(),
-        "steinberg_nonzero_fraction": data.nonzero_fraction(),
-        "steinberg_norm": data.norm(),
-        "norm_check": data.norm() == 1,
-    }

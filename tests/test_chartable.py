@@ -192,7 +192,9 @@ def _power_basis_coordinates(group, table):
     for k in range(len(group.conjugacy_classes())):
         (n,) = {cf.values[k].conductor for cf in table}
         conductors.append(n)
-        coords.append(np.array([cf.values[k].sort_key(n) for cf in table]))
+        rows = [cf.values[k].embed(n).canonical() for cf in table]
+        assert all(c.denominator == 1 for row in rows for c in row)  # algebraic integers
+        coords.append(np.array([[int(c) for c in row] for row in rows]))
     return conductors, coords
 
 
@@ -344,5 +346,5 @@ def test_linear_characters_of_abelian_groups():
     group, table = _table("cyclic:6")
     assert all(cf.degree() == 1 for cf in table)
     # distinct characters stay distinct
-    keys = [tuple(v.sort_key(6) for v in cf.values) for cf in table]
+    keys = [tuple(v.embed(6).canonical() for v in cf.values) for cf in table]
     assert len(set(keys)) == 6

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import catalog, gl2fp, groupcore, presets, primes
+from matchdens import catalog, gl2fp, groupcore, primes
 from matchdens.gl2fp import (
     CENTRAL,
     CLASS_TYPES,
@@ -167,9 +167,9 @@ def test_class_data_built_from_types_alone(monkeypatch):
     )
     assert prod.zero_fraction() == Fraction(21, 31)
     assert len(prod.entries) == 3 * 8 * 960
-    report = presets.steinberg_report(503)
-    assert report["class_count"] == 503 ** 2 - 1
-    assert report["norm_check"]
+    data = steinberg_character_data(503)
+    assert data.class_count == 503 ** 2 - 1
+    assert data.norm() == 1
 
 
 def test_class_type_fractions_closed_forms():

@@ -496,6 +496,27 @@ def test_quotient_map_rejects_non_surjective():
         groupcore.QuotientMap(source=c6, target=c3, mapping=tuple([0] * 6))
 
 
+@pytest.mark.parametrize("image", [5, -1, 1.5])
+def test_quotient_map_refuses_images_outside_the_target(image):
+    c6, c3 = catalog.cyclic_group(6), catalog.cyclic_group(3)
+    with pytest.raises(InvalidGroupError, match=r"outside \[0, 3\)|integers"):
+        groupcore.QuotientMap(source=c6, target=c3, mapping=[0, 1, image, 0, 1, image])
+
+
+@pytest.mark.parametrize("index", [7, -3, 3.7])
+def test_quotient_by_refuses_indices_outside_the_group(index):
+    # these once wrapped or truncated: [0, -3] and [0, 3.7] were taken as [0, 3]
+    with pytest.raises(InvalidGroupError, match=r"outside \[0, 6\)|integers"):
+        quotient_by(catalog.cyclic_group(6), [0, index])
+
+
+@pytest.mark.parametrize("index", [7, -2, 2.9])
+def test_subgroup_closure_refuses_indices_outside_the_group(index):
+    # these once wrapped or truncated: [-2] and [2.9] closed to [0, 2, 4]
+    with pytest.raises(InvalidGroupError, match=r"outside \[0, 6\)|integers"):
+        catalog.cyclic_group(6).subgroup_closure([index])
+
+
 def test_matching_fraction_headline_values():
     sl2, chi = _sl2_integer_char()
     q = abelianization(sl2)

@@ -44,39 +44,69 @@ def _unbounded_caches(tree: ast.Module, path: Path) -> list[str]:
     return found
 
 
+def _assignments(nodes):
+    """(line, targets, value) of every plain or annotated assignment among nodes."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            yield node.lineno, node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield node.lineno, [node.target], node.value
+
+
+def _is_empty_container(value) -> bool:
+    return (
+        (isinstance(value, ast.Dict) and not value.keys)
+        or (isinstance(value, (ast.List, ast.Set)) and not value.elts)
+        or (
+            isinstance(value, ast.Call)
+            and _name(value.func) in EMPTY_CONTAINER_CALLS
+            and not value.args
+            and not value.keywords
+        )
+    )
+
+
 def _module_level_empty_containers(tree: ast.Module, path: Path) -> list[str]:
     """Module-level names bound to an empty {}, [], dict(), list() or set()."""
+    return [
+        f"{path.name}:{line} " + ", ".join(ast.unparse(t) for t in targets)
+        for line, targets, value in _assignments(tree.body)
+        if _is_empty_container(value)
+    ]
+
+
+def _instance_empty_containers(tree: ast.Module, path: Path) -> list[str]:
+    """`self.x` attributes bound to an empty container in a method, as Class.x."""
     found = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
             continue
-        empty = (
-            (isinstance(value, ast.Dict) and not value.keys)
-            or (isinstance(value, (ast.List, ast.Set)) and not value.elts)
-            or (
-                isinstance(value, ast.Call)
-                and _name(value.func) in EMPTY_CONTAINER_CALLS
-                and not value.args
-                and not value.keywords
-            )
-        )
-        if empty:
-            names = ", ".join(ast.unparse(t) for t in targets)
-            found.append(f"{path.name}:{node.lineno} {names}")
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for line, targets, value in _assignments(ast.walk(method)):
+                if not _is_empty_container(value):
+                    continue
+                for t in targets:
+                    if isinstance(t, ast.Attribute) and _name(t.value) == "self":
+                        found.append(f"{path.name}:{line} {cls.name}.{t.attr}")
     return found
 
 
 def test_no_cache_grows_without_limit():
     assert SOURCES
-    found = []
+    found, attributes = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += _unbounded_caches(tree, path) + _module_level_empty_containers(tree, path)
+        attributes += _instance_empty_containers(tree, path)
     assert not found, "caches without a bound: " + "; ".join(found)
+    # the planner state's two per-start-prime dicts are the only unbounded
+    # attributes left; ROADMAP item 2 replaces them and deletes them here
+    assert {a.split(" ", 1)[1] for a in attributes} == {
+        "_PlannerState.checkpoints",
+        "_PlannerState.full",
+    }, "attributes without a bound: " + "; ".join(attributes)
 
 
 def test_the_scan_sees_each_kind_of_unbounded_cache():
@@ -99,6 +129,16 @@ def test_the_scan_sees_each_kind_of_unbounded_cache():
             "def bounded(): pass",
             "@functools.lru_cache(16)",
             "def bounded_too(): pass",
+            "class C:",
+            "    def __init__(self):",
+            "        self.a = {}",
+            "        self.b: dict = dict()",
+            "        self.ok = [1]",
+            "        other.c = []",
+            "    def reset(self):",
+            "        if self:",
+            "            self.d = set()",
+            "        local = list()",
         ]
     )
     tree = ast.parse(source)
@@ -110,6 +150,11 @@ def test_the_scan_sees_each_kind_of_unbounded_cache():
         "example.py:6 _d",
     ]
     assert _unbounded_caches(tree, path) == ["example.py:9 f", "example.py:11 g", "example.py:13 h"]
+    assert _instance_empty_containers(tree, path) == [
+        "example.py:20 C.a",
+        "example.py:21 C.b",
+        "example.py:26 C.d",
+    ]
 
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
