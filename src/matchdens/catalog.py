@@ -2,7 +2,8 @@
 
 Recognized names: trivial, cyclic:n, q8, s3, d4, sl2f3, gl2fp:p, heisenberg:3.
 Each group's `op` multiplies element indices with numpy arithmetic on the
-index (or on the entries it codes), so one call multiplies whole arrays.
+index (or on the entries it codes), so one call multiplies whole arrays, and
+each group's generators are given as element indices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def quaternion_group() -> FiniteGroup:
         return (s + t + _Q8_FLIP[u, v]) % 2 * 4 + (u ^ v)
 
     elements = [(s, u) for s in (0, 1) for u in range(4)]
-    return FiniteGroup(elements, op, name="q8", generators=[(0, 1), (0, 2)])
+    return FiniteGroup(elements, op, name="q8", generators=[1, 2])  # i, j
 
 
 def symmetric3_group() -> FiniteGroup:
@@ -51,7 +52,7 @@ def symmetric3_group() -> FiniteGroup:
     def op(i, j):
         return position[perms[np.asarray(i)[..., None], perms[j]] @ (9, 3, 1)]
 
-    return FiniteGroup(perms, op, name="s3", generators=[(1, 0, 2), (1, 2, 0)])
+    return FiniteGroup(perms, op, name="s3", generators=[2, 3])  # (1, 0, 2), (1, 2, 0)
 
 
 def dihedral4_group() -> FiniteGroup:
@@ -62,13 +63,14 @@ def dihedral4_group() -> FiniteGroup:
         return (f + g) % 2 * 4 + (r + s - 2 * f * s) % 4  # r + (-1)^f s
 
     elements = [(r, f) for f in (0, 1) for r in range(4)]
-    return FiniteGroup(elements, op, name="d4", generators=[(1, 0), (0, 1)])
+    return FiniteGroup(elements, op, name="d4", generators=[1, 4])  # rotation, flip
 
 
-def _matrices(p: int, det_ok: Callable) -> tuple[np.ndarray, Callable]:
+def _matrices(p: int, det_ok: Callable) -> tuple[np.ndarray, Callable, Callable]:
     """The 2x2 matrices over F_p whose determinants pass det_ok, as rows
-    a, b, c, d of one array, in lexicographic order; and their product on
-    indices, computed on the entries and found again by its base-p code."""
+    a, b, c, d of one array, in lexicographic order; their product on
+    indices, computed on the entries and found again by its base-p code; and
+    index(a, b, c, d), the index of one matrix, read off its code alike."""
     codes = np.arange(p**4)
     a, b, c, d = codes // p**3, codes // p**2 % p, codes // p % p, codes % p
     keep = det_ok((a * d - b * c) % p)
@@ -81,13 +83,16 @@ def _matrices(p: int, det_ok: Callable) -> tuple[np.ndarray, Callable]:
         top = (a * w + b * y) % p * p + (a * x + b * z) % p
         return position[(top * p + (c * w + d * y) % p) * p + (c * x + d * z) % p]
 
-    return matrices, op
+    def index(a, b, c, d):
+        return int(position[((a * p + b) * p + c) * p + d])
+
+    return matrices, op, index
 
 
 def sl2f3_group() -> FiniteGroup:
     """The binary tetrahedral group, realized as SL2 over the field with three elements."""
-    matrices, op = _matrices(3, lambda det: det == 1)
-    return FiniteGroup(matrices.T, op, name="sl2f3", generators=[(1, 1, 0, 1), (0, 1, 2, 0)])
+    matrices, op, index = _matrices(3, lambda det: det == 1)
+    return FiniteGroup(matrices.T, op, name="sl2f3", generators=[index(1, 1, 0, 1), index(0, 1, 2, 0)])
 
 
 def gl2_group(p: int) -> FiniteGroup:
@@ -100,7 +105,7 @@ def gl2_group(p: int) -> FiniteGroup:
     """
     if p > ENUMERATION_MAX_P:
         raise ValueError(f"gl2fp enumeration is bounded at p <= {ENUMERATION_MAX_P}")
-    matrices, op = _matrices(p, lambda det: det != 0)
+    matrices, op, index = _matrices(p, lambda det: det != 0)
 
     def classified_labels(group: FiniteGroup) -> np.ndarray:
         a, b, c, d = matrices
@@ -109,12 +114,12 @@ def gl2_group(p: int) -> FiniteGroup:
 
     # diag(r, 1) and [[-1, 1], [-1, 0]] generate GL2(F_p) for odd p; at p = 2
     # diag(1, 1) is the identity, and the swap [[0, 1], [1, 0]] takes its place
-    first = (primitive_root(p), 0, 0, 1) if p > 2 else (0, 1, 1, 0)
+    first = index(primitive_root(p), 0, 0, 1) if p > 2 else index(0, 1, 1, 0)
     return FiniteGroup(
         matrices.T,
         op,
         name=f"gl2fp:{p}",
-        generators=[first, ((p - 1) % p, 1, (p - 1) % p, 0)],
+        generators=[first, index(p - 1, 1, p - 1, 0)],
         class_labels=classified_labels,
     )
 
@@ -128,7 +133,7 @@ def heisenberg3_group() -> FiniteGroup:
         return (a + x) % 3 * 9 + (b + y) % 3 * 3 + (c + z + a * y) % 3
 
     elements = list(iproduct(range(3), repeat=3))
-    return FiniteGroup(elements, op, name="heisenberg:3", generators=[(1, 0, 0), (0, 1, 0)])
+    return FiniteGroup(elements, op, name="heisenberg:3", generators=[9, 3])  # (1, 0, 0), (0, 1, 0)
 
 
 def named_group(name: str) -> FiniteGroup:

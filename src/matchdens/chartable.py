@@ -138,7 +138,7 @@ def _choose_modulus(order: int, exponent: int) -> int:
     floor = 2 * isqrt(order - 1) + 2 if order > 1 else 2
     l = exponent + 1
     while l <= DEFAULT_MODULUS_BOUND:
-        if l > floor and (exponent == 1 or l % exponent == 1) and is_prime(l):
+        if l > floor and is_prime(l):
             return l
         l += exponent
     raise CharacterTableError(

@@ -38,6 +38,38 @@ def _rat_pair(num: int, den: int) -> dict:
     return {"num": _int_json(num), "den": _int_json(den)}
 
 
+def cyc_value_to_json(v) -> dict:
+    return {"conductor": v.conductor, "coeffs": [_rat(c) for c in v.power_basis()]}
+
+
+def group_to_json(group) -> dict:
+    part = group.conjugacy_classes()
+    return {
+        "kind": "finite_group",
+        "name": group.name,
+        "order": group.order,
+        "class_count": len(part),
+        "classes": [
+            {
+                "representative": repr(group.element(r)),
+                "min_element_index": int(r),
+                "size": int(s),
+            }
+            for r, s in zip(part.representatives, part.sizes)
+        ],
+    }
+
+
+def class_function_to_json(cf) -> dict:
+    return {
+        "kind": "class_function",
+        "group": cf.group.name,
+        "group_order": cf.group.order,
+        "name": cf.name,
+        "values": [cyc_value_to_json(v) for v in cf.values],
+    }
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -116,6 +148,8 @@ def _preset_approx_plan(name: str):
         return density.preset_matching_plan(Fraction(17, 32))
     if base == "serre-k":
         k = int(arg)
+        if k < 1:
+            raise ValueError(f"preset {name!r}: K must be at least 1")
         return density.preset_matching_plan(1 - Fraction(1, 2 * k * k))
     if base == "steinberg":
         p = int(arg)
@@ -193,15 +227,15 @@ def _cmd_fiber(args) -> tuple[dict, bool]:
 
 
 def _cmd_chartable(args) -> tuple[dict, bool]:
-    from . import catalog, groupcore
+    from . import catalog
     from .chartable import character_table_small
 
     group = catalog.named_group(args.group)
     table = character_table_small(group)
     payload = {
-        "group": groupcore.group_to_json(group),
+        "group": group_to_json(group),
         "degrees": [int(cf.degree().as_rational()) for cf in table],
-        "characters": [groupcore.class_function_to_json(cf) for cf in table],
+        "characters": [class_function_to_json(cf) for cf in table],
     }
     return payload, True
 

@@ -27,7 +27,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .primes import crt, factorize_small, primitive_root, sieve_primes, totient
+from .primes import crt, factorize, primitive_root, sieve_primes, totient
 
 DEFAULT_S_SCHEDULE = (1.5, 1.2, 1.1, 1.05, 1.02)
 MAX_MODULUS = 10**4
@@ -74,7 +74,7 @@ def unit_group(N: int) -> UnitGroup:
         raise ValueError(f"modulus must be in [1, {MAX_MODULUS}]")
     gens: list[int] = []
     orders: list[int] = []
-    for p, k in factorize_small(N):
+    for p, k in factorize(N)[0]:
         pk = p**k
         for g, order in _local_generators(p, k):
             gens.append(crt([g, 1], [pk, N // pk])[0])  # = g mod p^k, = 1 mod N/p^k

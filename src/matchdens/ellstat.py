@@ -66,7 +66,7 @@ class Curve:
             factors, leftover = factorize(self.conductor)
             if leftover != 1:
                 raise ValueError("could not fully factor the declared conductor")
-            if any(e > 1 for e in factors.values()):
+            if any(e > 1 for _, e in factors):
                 raise ValueError(
                     f"declared conductor {self.conductor} is not square-free "
                     "(the curve would not be semistable)"

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import prod
 
-from .primes import is_prime, legendre, sqrt_mod
+from .primes import is_prime, jacobi, sqrt_mod
 
 CENTRAL = "central"
 NONSEMISIMPLE = "nonsemisimple"
@@ -100,7 +100,7 @@ def eigenvalue_kind(disc: int, p: int) -> str:
     disc %= p
     if disc == 0:
         return REPEATED
-    if p == 2 or legendre(disc, p) == -1:
+    if p == 2 or jacobi(disc, p) == -1:
         return NONSPLIT
     return SPLIT
 

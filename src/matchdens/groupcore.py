@@ -4,22 +4,21 @@ A group is a multiplication of element indices 0 .. order-1: `op(i, j)`
 returns the index of the product, elementwise over numpy int arrays (plain
 ints work too).  Every product the module takes goes through it: `mul`, the
 dense table, the identity, the inverses, the conjugation rows and the
-character table's right-regular permutations.  Element handles (hashable
-values such as matrices as tuples) appear only at the edges: `element`,
-`elements`, `index_of`, pulling class functions back along handle maps, and
-JSON.  Conjugacy classes come from one label per element
-(ConjClassPartition.from_labels): a group's `class_labels` hook when it has
-one, otherwise the least index of each orbit under conjugation.  Partitions,
-quotient maps and subgroups are read-only int64 index arrays, read as Python
-ints only by exact arithmetic and JSON.  Class functions with exact
-cyclotomic values, direct and fiber products (multiplied through the
-factors' products), quotient maps, and the exact matching / zero fractions
-live here.
+character table's right-regular permutations; generators are element
+indices too.  Element handles (hashable values such as matrices as tuples)
+appear only at the edges: `element`, `elements`, `index_of` and pulling
+class functions back along handle maps.  Conjugacy classes come from one
+label per element (ConjClassPartition.from_labels): a group's
+`class_labels` hook when it has one, otherwise the least index of each
+orbit under conjugation.  Partitions, quotient maps and subgroups are
+read-only int64 index arrays, read as Python ints only by exact arithmetic
+and JSON.  Class functions with exact cyclotomic values, direct and fiber
+products (multiplied through the factors' products), quotient maps, and the
+exact matching / zero fractions live here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -49,9 +48,11 @@ class OrderBoundExceededError(ValueError):
 
 
 def _checked_indices(indices, order: int) -> np.ndarray:
-    """The given element indices as an int64 array, refused with
+    """The given element indices as a 1-D int64 array, refused with
     InvalidGroupError unless every one is an integer in [0, order)."""
     out = np.asarray(indices)
+    if out.ndim != 1:
+        raise InvalidGroupError(f"element indices must form a 1-D array, not {out.ndim}-D")
     if out.size and out.dtype.kind not in "iu":
         raise InvalidGroupError(f"element indices must be integers, not {out.dtype}")
     out = out.astype(np.int64, copy=False)
@@ -123,10 +124,10 @@ class FiniteGroup:
     A group whose table fits one block of BLOCK_ENTRIES products builds it
     at construction, so a small group calls `op` once.
 
-    `generators` (handles) enables scalable conjugacy computations; they are
-    checked to generate the group at their first use.  Without them every
-    element is treated as a generator, which is fine up to a few thousand
-    elements.  `class_labels(group)`, when given, returns one label per
+    `generators`, given as element indices, enables scalable conjugacy
+    computations; they are checked to be indices at construction and to
+    generate the group at their first use.  Without them every element is
+    treated as a generator, which is fine up to a few thousand elements.  `class_labels(group)`, when given, returns one label per
     element such that two elements are conjugate exactly when their labels
     are equal.
     """
@@ -137,7 +138,7 @@ class FiniteGroup:
         op: Callable,
         *,
         name: str = "",
-        generators: Sequence[Hashable] | None = None,
+        generators: Sequence[int] | None = None,
         class_labels: Callable | None = None,
     ):
         if isinstance(elements, np.ndarray) and elements.ndim != 2:
@@ -157,7 +158,7 @@ class FiniteGroup:
         self._classes: ConjClassPartition | None = None
         self._validated = False
         self._class_labels = class_labels
-        self._generators = None if generators is None else list(generators)
+        self._generators = None if generators is None else _checked_indices(generators, self.order)
         self._generator_indices: tuple[int, ...] | None = None
         if self.order**2 <= BLOCK_ENTRIES:  # the whole table in one op call
             self.ensure_table()
@@ -187,20 +188,6 @@ class FiniteGroup:
         except KeyError:
             raise InvalidGroupError(f"{handle!r} is not an element of {self}") from None
 
-    def _row_index(self, handle: Hashable) -> int:
-        """index_of without building every handle: an array of handles is
-        searched by one vectorized row match."""
-        rows = self._elements
-        if not isinstance(rows, np.ndarray):
-            return self.index_of(handle)
-        key = np.asarray(handle)
-        hits = np.flatnonzero((rows == key).all(axis=1)) if key.shape == rows.shape[1:] else []
-        if len(hits) > 1:
-            raise InvalidGroupError(f"{self} has duplicate element handles")
-        if not len(hits):
-            raise InvalidGroupError(f"{handle!r} is not an element of {self}")
-        return int(hits[0])
-
     def __contains__(self, handle: Hashable) -> bool:
         try:
             self.index_of(handle)
@@ -216,10 +203,9 @@ class FiniteGroup:
     def generator_indices(self) -> tuple[int, ...] | None:
         """Indices of the declared generators, checked once to generate the group."""
         if self._generators is not None and self._generator_indices is None:
-            gens = tuple(map(self._row_index, self._generators))
-            if len(self.subgroup_closure(gens)) != self.order:
+            if len(self.subgroup_closure(self._generators)) != self.order:
                 raise InvalidGroupError(f"the declared generators do not generate {self}")
-            self._generator_indices = gens
+            self._generator_indices = tuple(self._generators.tolist())
         return self._generator_indices
 
     # -- multiplication on indices
@@ -403,11 +389,10 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *, name: str = "") -> FiniteG
         raise OrderBoundExceededError(
             f"product order {g.order * h.order} exceeds bound {ORDER_LIMIT}"
         )
-    e_g, e_h = g.element(g.identity), h.element(h.identity)
     gens = None
     if g.generator_indices is not None and h.generator_indices is not None:
-        gens = [(g.element(i), e_h) for i in g.generator_indices]
-        gens += [(e_g, h.element(j)) for j in h.generator_indices]
+        gens = [i * h.order + h.identity for i in g.generator_indices]
+        gens += [g.identity * h.order + j for j in h.generator_indices]
 
     def paired_labels(product: FiniteGroup) -> np.ndarray:
         part_g, part_h = g.conjugacy_classes(), h.conjugacy_classes()
@@ -627,49 +612,3 @@ def is_nilpotent(group: FiniteGroup) -> bool:
             return False
         current = lifted
     return True
-
-
-# -- serialization
-
-
-def _fraction_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def cyc_value_to_json(v: CycValue) -> dict:
-    return {
-        "conductor": v.conductor,
-        "coeffs": [_fraction_json(c) for c in v.power_basis()],
-    }
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    part = group.conjugacy_classes()
-    return {
-        "kind": "finite_group",
-        "name": group.name,
-        "order": group.order,
-        "class_count": len(part),
-        "classes": [
-            {
-                "representative": repr(group.element(r)),
-                "min_element_index": int(r),
-                "size": int(s),
-            }
-            for r, s in zip(part.representatives, part.sizes)
-        ],
-    }
-
-
-def class_function_to_json(cf: ClassFunction) -> dict:
-    return {
-        "kind": "class_function",
-        "group": cf.group.name,
-        "group_order": cf.group.order,
-        "name": cf.name,
-        "values": [cyc_value_to_json(v) for v in cf.values],
-    }
-
-
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -1,7 +1,11 @@
-"""Prime sieving, primality testing, and integer factorization helpers.
+"""Prime sieving, primality testing, the Jacobi symbol and integer factorization.
 
 Every sieve is a read-only slice of one table of primes, re-sieved only to
-grow past the largest limit asked for so far (at most SIEVE_LIMIT).
+grow past the largest limit asked for so far (at most SIEVE_LIMIT).  One
+residue symbol, `jacobi` (the Legendre symbol at a prime), serves square
+roots, the Lucas test and the GL2 class types; one factorizer, `factorize`
+(table primes up to TRIAL_LIMIT, then Pollard rho), serves the totient,
+primitive roots, unit groups and declared conductors.
 
 is_prime is a proof below PSI[-1] = psi_13 ~ 3.317e24: strong Miller-Rabin
 with the first k prime bases, k the least index with n < psi_k.  At psi_13
@@ -53,11 +57,6 @@ def sieve_primes(limit: int) -> np.ndarray:
     return _table[: np.searchsorted(_table, limit, "right")]
 
 
-def primes_below(bound: int) -> list[int]:
-    """Primes strictly below bound, as plain ints."""
-    return sieve_primes(bound - 1).tolist()
-
-
 def is_prime(n: int) -> bool:
     """Primality test: trial division by the first 13 primes, then strong
     Miller-Rabin with the first k prime bases, k the least index with
@@ -90,8 +89,9 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity."""
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity; at a prime n
+    it is the Legendre symbol."""
     a %= n
     sign = 1
     while a:
@@ -123,7 +123,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     if math.isqrt(n) ** 2 == n:
         return False
     D = 5
-    while (j := _jacobi(D, n)) != -1:
+    while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:
             return False
         D = -D - 2 if D > 0 else 2 - D
@@ -168,7 +168,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     a %= p
     if p == 2 or a == 0:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    if jacobi(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -178,7 +178,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while jacobi(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -344,35 +344,10 @@ def _least_nonresidue(ell: np.ndarray) -> np.ndarray:
     raise ArithmeticError("no quadratic non-residue below 1000")
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, 1} for an odd prime p (Euler's criterion)."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def factorize_small(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 in ascending order, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def totient(n: int) -> int:
     """Euler's phi: the number of units mod n >= 1."""
     out = n
-    for p, _ in factorize_small(n):
+    for p, _ in _factored(n):
         out = out // p * (p - 1)
     return out
 
@@ -382,7 +357,7 @@ def primitive_root(n: int) -> int:
     odd prime power (1 for n = 2).  ValueError when the units mod n are not
     cyclic."""
     order = totient(n)
-    factors = [q for q, _ in factorize_small(order)]
+    factors = [q for q, _ in _factored(order)]
     for g in range(1, n):
         if math.gcd(g, n) == 1 and all(pow(g, order // q, n) != 1 for q in factors):
             return g
@@ -453,29 +428,30 @@ def pollard_rho(n: int, max_iterations: int = 1 << 18) -> int | None:
     return None
 
 
-def factorize(
-    n: int,
-    trial_bound: int = 100_000,
-    rho_iterations: int = 1 << 14,
-) -> tuple[dict[int, int], int]:
-    """Factor n into primes below trial_bound plus rho-discovered factors.
+# factorize divides by every prime up to TRIAL_LIMIT, so it factors every
+# n < TRIAL_LIMIT^2 = 10^10 completely; rho then gets RHO_ITERATIONS per cofactor
+TRIAL_LIMIT = 100_000
+RHO_ITERATIONS = 1 << 14
 
-    Returns (factors, unresolved) where factors maps prime -> multiplicity and
-    unresolved is a leftover composite cofactor (1 when fully factored).
-    Values whose remaining cofactor resists the rho budget are surfaced in
-    unresolved rather than guessed at.
+
+def factorize(n: int) -> tuple[list[tuple[int, int]], int]:
+    """(prime, exponent) pairs of n >= 1 in ascending order, and the cofactor
+    left unresolved (1 when n is fully factored).
+
+    Trial division by the primes up to min(isqrt(n), TRIAL_LIMIT) stops once
+    p^2 exceeds what is left; is_prime and pollard_rho (RHO_ITERATIONS) then
+    split the rest.  A cofactor that resists the rho budget is returned, never
+    guessed at.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     factors: dict[int, int] = {}
-    for p in primes_below(trial_bound + 1):
+    for p in sieve_primes(min(math.isqrt(n), TRIAL_LIMIT)).tolist():
         if p * p > n:
             break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return factors, 1
     stack = [n]
     unresolved = 1
     while stack:
@@ -485,10 +461,18 @@ def factorize(
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = pollard_rho(m, rho_iterations)
+        d = pollard_rho(m, RHO_ITERATIONS)
         if d is None:
             unresolved *= m
             continue
         stack.append(d)
         stack.append(m // d)
-    return factors, unresolved
+    return sorted(factors.items()), unresolved
+
+
+def _factored(n: int) -> list[tuple[int, int]]:
+    """factorize(n)'s pairs, refusing a cofactor left unresolved (none is below 10^10)."""
+    pairs, unresolved = factorize(n)
+    if unresolved != 1:
+        raise ValueError(f"could not factor {n} completely")
+    return pairs

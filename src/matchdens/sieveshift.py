@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primes import PSI, crt, is_prime, pollard_rho, primes_below, quadratic_roots_mod, sieve_primes
+from .primes import PSI, crt, is_prime, pollard_rho, quadratic_roots_mod, sieve_primes
 
 MAX_SHIFT_T = 100_000
 # The sieve holds one byte per integer up to the trial bound and an int64 per
@@ -76,7 +76,7 @@ class ShiftSpec:
     poly: QuadPoly  # the shifted polynomial F
 
     def __post_init__(self):
-        for p in primes_below(self.T):
+        for p in sieve_primes(self.T - 1).tolist():
             if self.A % p:
                 raise ValueError(f"A must be divisible by every prime < T (missing {p})")
             if self.poly.c % p == 0:
@@ -105,7 +105,7 @@ def find_shift(f: QuadPoly, T: int) -> ShiftSpec:
         raise ValueError(f"T is bounded at {MAX_SHIFT_T}")
     if not f.is_primitive():
         raise ValueError("find_shift needs a primitive polynomial")
-    primes = primes_below(T)
+    primes = sieve_primes(T - 1).tolist()
     residues = []
     for ell in primes:
         b_ell = next((b for b in range(ell) if f(b) % ell), None)
@@ -114,20 +114,14 @@ def find_shift(f: QuadPoly, T: int) -> ShiftSpec:
                 f"f takes only multiples of {ell}; no admissible shift exists"
             )
         residues.append(b_ell)
-    if primes:
-        B, A = crt(residues, primes)
-    else:
-        B, A = 0, 1
-    for ell in primes:
-        if f(B) % ell == 0:
-            raise AssertionError(f"CRT shift failed: {ell} divides f({B})")
+    B, A = crt(residues, primes)  # T >= 3, so primes holds 2 at least
     return ShiftSpec(T=T, A=A, B=B, poly=shifted_poly(f, A, B))
 
 
 def has_factor_below(value: int, bound: int) -> bool:
     """Trial division check used by the shift invariants."""
     value = abs(value)
-    for p in primes_below(bound):
+    for p in sieve_primes(bound - 1).tolist():
         if value % p == 0:
             return True
     return False

@@ -68,6 +68,15 @@ def test_approx_matching_and_presets(capsys):
     assert report["result"]["zero_density"] == {"num": "1", "den": "11"}
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_approx_refuses_serre_k_below_1(capsys, k):
+    # K = 0 divided by zero, and K = -2 planned serre-k:2 under another name
+    assert main(["--format", "json", "approx", "--preset", f"serre-k:{k}"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"preset 'serre-k:{k}': K must be at least 1" in captured.err
+
+
 def test_approx_budget_error_exit_code(capsys):
     code = main(["--format", "json", "approx", "--target", "0.01", "--eps", "0.01"])
     assert code == 1

@@ -119,7 +119,7 @@ def test_type_cardinalities_closed_forms(p):
     assert sum(by_kind.values()) == gl2_order(p)
 
 
-@pytest.mark.parametrize("p", primes.primes_below(32))
+@pytest.mark.parametrize("p", primes.sieve_primes(31).tolist())
 def test_class_type_counts_match_inventory(p):
     # the inventory here is the explicit group's conjugacy class partition
     group = catalog.gl2_group(p)

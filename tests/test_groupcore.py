@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import catalog, groupcore
+from matchdens import catalog, cli, groupcore
 from matchdens.chartable import character_table_small, integer_valued_two_dimensional
 from matchdens.cyclotomic import CycValue
 from matchdens.groupcore import (
@@ -47,13 +47,13 @@ def _fraction_from_json(doc):
 
 
 def cyc_value_from_json(doc):
-    """The inverse of groupcore.cyc_value_to_json."""
+    """The inverse of cli.cyc_value_to_json."""
     coeffs = {j: _fraction_from_json(c) for j, c in enumerate(doc["coeffs"])}
     return CycValue(int(doc["conductor"]), coeffs)
 
 
 def class_function_from_json(group, doc):
-    """The inverse of groupcore.class_function_to_json."""
+    """The inverse of cli.class_function_to_json."""
     assert doc["kind"] == "class_function" and int(doc["group_order"]) == group.order
     values = [cyc_value_from_json(v) for v in doc["values"]]
     return ClassFunction(group, values, name=doc.get("name", ""))
@@ -150,7 +150,7 @@ def test_small_group_calls_op_once():
         calls.append((np.shape(i), np.shape(j)))
         return q8._op(i, j)
 
-    group = FiniteGroup(q8.elements, counting, name="q8", generators=[(0, 1), (0, 2)])
+    group = FiniteGroup(q8.elements, counting, name="q8", generators=[1, 2])
     assert calls == [((8, 1), (8,))]
     group.validate()
     assert group.conjugacy_classes().sizes.tolist() == [1, 2, 2, 2, 1]
@@ -391,7 +391,7 @@ def test_pair_table_matches_handle_products(name):
 def test_declared_generators_must_generate():
     s3 = catalog.symmetric3_group()
     # a transposition alone generates a subgroup of order 2
-    partial = FiniteGroup(s3.elements, s3._op, generators=[(1, 0, 2)])
+    partial = FiniteGroup(s3.elements, s3._op, generators=[2])  # (1, 0, 2)
     with pytest.raises(InvalidGroupError, match="do not generate"):
         partial.conjugacy_classes()
     with pytest.raises(InvalidGroupError, match="do not generate"):
@@ -400,12 +400,11 @@ def test_declared_generators_must_generate():
     # only the first factor's generators declared
     prod = direct_product(_group("sl2f3"), s3)
     assert prod.order == 144
-    first = FiniteGroup(
-        prod.elements, prod._op, generators=[((1, 1, 0, 1), (0, 1, 2)), ((0, 1, 2, 0), (0, 1, 2))]
-    )
+    gens = [prod.index_of(h) for h in [((1, 1, 0, 1), (0, 1, 2)), ((0, 1, 2, 0), (0, 1, 2))]]
+    first = FiniteGroup(prod.elements, prod._op, generators=gens)
     with pytest.raises(InvalidGroupError, match="do not generate"):
         first.conjugacy_classes()
-    every = FiniteGroup(prod.elements, prod._op, generators=prod.elements)
+    every = FiniteGroup(prod.elements, prod._op, generators=range(prod.order))
     assert len(every.conjugacy_classes()) == 21
 
 
@@ -422,16 +421,45 @@ def test_generator_indices_build_no_handles(monkeypatch):
     assert group._index is None
 
 
-def test_array_generators_must_be_elements():
+def test_generators_must_be_element_indices():
     gl2 = catalog.gl2_group(3)
-    for gen in ((0, 0, 0, 0), (1, 0, 1)):  # singular; too short
-        group = FiniteGroup(gl2._elements, gl2._op, generators=[gen])
-        with pytest.raises(InvalidGroupError, match="not an element"):
-            group.generator_indices
-    doubled = np.concatenate([gl2._elements, gl2._elements[:1]])
-    group = FiniteGroup(doubled, lambda i, j: np.asarray(i) * 0, generators=[gl2.element(0)])
-    with pytest.raises(InvalidGroupError, match="duplicate"):
-        group.generator_indices
+    # out of range, negative, non-integer, and handles (a 2-D array of ints in range)
+    for gens in ([48], [-1], [30.0, 40], [1.5], [(1, 1, 0, 1), (0, 1, 2, 0)], [[30, 40]]):
+        with pytest.raises(InvalidGroupError, match="element ind"):
+            FiniteGroup(gl2._elements, gl2._op, generators=gens)
+    assert FiniteGroup(gl2._elements, gl2._op, generators=[30, 40]).generator_indices == (30, 40)
+
+
+# each catalog group's generators, read back as handles
+CATALOG_GENERATOR_HANDLES = {
+    "cyclic:1": [0],
+    "cyclic:6": [1],
+    "q8": [(0, 1), (0, 2)],
+    "s3": [(1, 0, 2), (1, 2, 0)],
+    "d4": [(1, 0), (0, 1)],
+    "sl2f3": [(1, 1, 0, 1), (0, 1, 2, 0)],
+    "gl2fp:2": [(0, 1, 1, 0), (1, 1, 1, 0)],
+    "gl2fp:3": [(2, 0, 0, 1), (2, 1, 2, 0)],
+    "gl2fp:5": [(2, 0, 0, 1), (4, 1, 4, 0)],
+    "gl2fp:7": [(3, 0, 0, 1), (6, 1, 6, 0)],
+    "heisenberg:3": [(1, 0, 0), (0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG_GENERATOR_HANDLES))
+def test_catalog_generator_handles_pinned(name):
+    g = _group(name)
+    assert [g.element(i) for i in g.generator_indices] == CATALOG_GENERATOR_HANDLES[name]
+
+
+def test_direct_product_generators_pair_each_factor_with_the_identity():
+    q8, s3 = _group("q8"), _group("s3")
+    prod = direct_product(q8, s3)
+    e_q8, e_s3 = q8.element(q8.identity), s3.element(s3.identity)
+    assert [prod.element(i) for i in prod.generator_indices] == [
+        *((q8.element(i), e_s3) for i in q8.generator_indices),
+        *((e_q8, s3.element(j)) for j in s3.generator_indices),
+    ]
 
 
 def test_class_labels_of_wrong_length_refused():
@@ -590,12 +618,12 @@ def test_nilpotency_of_products():
 
 def test_serialization_round_trip():
     sl2, chi = _sl2_integer_char()
-    doc = groupcore.class_function_to_json(chi)
-    text = groupcore.dumps(doc)
+    doc = cli.class_function_to_json(chi)
+    text = json.dumps(doc, indent=2, sort_keys=True)
     assert '"num"' in text and '"den"' in text
     back = class_function_from_json(sl2, doc)
     assert all(a == b for a, b in zip(back.values, chi.values))
-    gdoc = groupcore.group_to_json(sl2)
+    gdoc = cli.group_to_json(sl2)
     assert gdoc["order"] == 24 and len(gdoc["classes"]) == 7
     assert sum(c["size"] for c in gdoc["classes"]) == 24
 
@@ -622,7 +650,7 @@ def test_pullback_along_quotient():
 
 def test_cyc_value_round_trip_json():
     v = CycValue(12, {1: Fraction(1, 2), 7: Fraction(-2, 3)})
-    doc = groupcore.cyc_value_to_json(v)
+    doc = cli.cyc_value_to_json(v)
     assert cyc_value_from_json(doc) == v
 
 

@@ -12,17 +12,15 @@ from matchdens.primes import (
     KERNEL_PRIME_LIMIT,
     PSI,
     SIEVE_LIMIT,
-    _jacobi,
+    TRIAL_LIMIT,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     crt,
     factorize,
-    factorize_small,
     is_prime,
-    legendre,
+    jacobi,
     next_prime,
     pollard_rho,
-    primes_below,
     primitive_root,
     quadratic_roots_mod,
     sieve_primes,
@@ -158,7 +156,7 @@ def test_the_psi12_pseudoprime_is_no_hit():
     psi12 = 399165290221 * 798330580441
     assert psi12 == A014233[11]
     assert is_prime(399165290221) and is_prime(798330580441)
-    assert factorize(psi12) == ({}, psi12)  # unresolved within the rho budget, not a prime
+    assert factorize(psi12) == ([], psi12)  # unresolved within the rho budget, not a prime
     with pytest.raises(ValueError, match="not prime"):
         AlmostPrimeHit(1, psi12, (psi12,))
 
@@ -188,11 +186,23 @@ def test_strong_lucas_accepts_primes():
     assert all(_strong_lucas_probable_prime(p) for p in sieve_primes(20000)[1:].tolist())
 
 
+def _euler(a, p):
+    """The Legendre symbol (a|p) at an odd prime p, by Euler's criterion."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+@settings(max_examples=200)
+@given(st.integers(-(10**30), 10**30), st.sampled_from(sieve_primes(10**5)[1:].tolist() + [(1 << 61) - 1]))
+def test_jacobi_matches_euler_criterion(a, p):
+    assert jacobi(a, p) == _euler(a, p)
+
+
 def test_jacobi_matches_legendre_products():
     for n in range(1, 200, 2):
         for a in range(-50, 50):
-            expected = math.prod(legendre(a, p) ** e for p, e in factorize_small(n))
-            assert _jacobi(a, n) == expected, (a, n)
+            expected = math.prod(_euler(a, p) ** e for p, e in factorize(n)[0])
+            assert jacobi(a, n) == expected, (a, n)
 
 
 def _bpsw(n):
@@ -327,19 +337,18 @@ def test_pollard_rho_matches_reference_on_small_composites():
 
 
 def test_factorize_complete_and_unresolved():
-    factors, leftover = factorize(2**5 * 3 * 5**2 * 101)
-    assert leftover == 1
-    assert factors == {2: 5, 3: 1, 5: 2, 101: 1}
-    # a 120-bit semiprime with both factors far above any budget this small
+    assert factorize(2**5 * 3 * 5**2 * 101) == ([(2, 5), (3, 1), (5, 2), (101, 1)], 1)
+    assert factorize(1) == ([], 1)
+    # prime factors above TRIAL_LIMIT, which trial division leaves to rho: a square, and a product of two
+    big, other = next_prime(TRIAL_LIMIT), next_prime(10**6)
+    assert factorize(12 * big**2) == ([(2, 2), (3, 1), (big, 2)], 1)
+    assert factorize(7 * big * other) == ([(7, 1), (big, 1), (other, 1)], 1)
+    # a 120-bit semiprime whose factors rho cannot reach within RHO_ITERATIONS
     p = next_prime(2**60)
     q = next_prime(2**60 + 10**9)
-    factors, leftover = factorize(p * q, trial_bound=1000, rho_iterations=4)
-    assert leftover == p * q and factors == {}
-
-
-def test_primes_below():
-    assert primes_below(12) == [2, 3, 5, 7, 11]
-    assert primes_below(2) == []
+    assert factorize(45 * p * q) == ([(3, 2), (5, 1)], p * q)
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def _brute_roots(a, b, c, ells):
@@ -388,7 +397,7 @@ def test_quadratic_roots_above_single_reduction_range():
     for ell in ells.tolist():
         rs = roots[got == ell].tolist()
         assert all((a * r * r + b * r + c) % ell == 0 for r in rs)
-        assert len(rs) == 1 + legendre(b * b - 4 * a * c, ell)
+        assert len(rs) == 1 + _euler(b * b - 4 * a * c, ell)
 
 
 def test_quadratic_roots_input_checks():
@@ -406,15 +415,16 @@ def test_quadratic_roots_input_checks():
 
 
 @given(st.integers(min_value=1, max_value=10**7))
-def test_factorize_small_multiplies_back(n):
-    pairs = factorize_small(n)
+def test_factorize_multiplies_back(n):
+    pairs, unresolved = factorize(n)
+    assert unresolved == 1
     assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
     assert all(_is_prime_trial(p) and e >= 1 for p, e in pairs)
     assert math.prod(p**e for p, e in pairs) == n
 
 
 def test_primitive_root_is_least_generator():
-    for p in primes_below(500):
+    for p in sieve_primes(499).tolist():
         orders = []
         for g in range(1, p):
             k, x = 1, g
@@ -434,7 +444,7 @@ def _order(g, n):
 
 
 def test_primitive_root_of_odd_prime_powers_is_least_generator():
-    for p in primes_below(3001)[1:]:
+    for p in sieve_primes(3000)[1:].tolist():
         pk = p
         while pk <= 3000:
             phi = sum(1 for g in range(pk) if math.gcd(g, pk) == 1)
@@ -453,4 +463,4 @@ def test_totient_counts_units():
 
 
 def test_legendre_symbol():
-    assert [legendre(a, 7) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]
+    assert [jacobi(a, 7) for a in range(7)] == [0, 1, 1, -1, 1, -1, -1]

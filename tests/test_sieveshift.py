@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matchdens import sieveshift
-from matchdens.primes import PSI, is_prime, next_prime, pollard_rho, primes_below, sieve_primes, sqrt_mod
+from matchdens.primes import PSI, is_prime, next_prime, pollard_rho, sieve_primes, sqrt_mod
 from matchdens.sieveshift import (
     MAX_SCAN_N,
     MAX_TRIAL_BOUND,
@@ -23,7 +23,7 @@ from matchdens.sieveshift import (
 def primorial_below(T):
     """The product of the primes below T."""
     out = 1
-    for p in primes_below(T):
+    for p in sieve_primes(T - 1).tolist():
         out *= p
     return out
 
@@ -199,7 +199,7 @@ def _reference_roots(F, ell):
 def _reference_scan(F, n_max, trial_bound, rho_iterations):
     """The scan with a per-prime root loop: (hits as tuples, unresolved)."""
     small_factors = [[] for _ in range(n_max + 1)]
-    for ell in primes_below(trial_bound + 1):
+    for ell in sieve_primes(trial_bound).tolist():
         for r in _reference_roots(F, ell):
             for n in range(r if r >= 1 else r + ell, n_max + 1, ell):
                 small_factors[n].append(ell)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import matchdens
@@ -261,3 +262,79 @@ def test_readme_bounds_match_the_code():
         if value != (actual := getattr(importlib.import_module(f"matchdens.{module}"), name))
     ]
     assert not wrong, "; ".join(wrong)
+
+
+def _public_definitions(tree: ast.Module):
+    """Every public top-level function and class of a module."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _names_read(node) -> Counter:
+    """How often each name is read below node, as `name` or as `x.name`."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _unreferenced(trees: dict[str, ast.Module], outside: set[tuple[str, str]]) -> list[str]:
+    """module.name of each public definition in trees that no code reads
+    outside its own definition, and that is not in outside; an import alone
+    (such as a re-export in __init__) is no reference."""
+    total = sum((_names_read(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in _public_definitions(tree)
+        if total[node.name] == _names_read(node)[node.name] and (module, node.name) not in outside
+    )
+
+
+def test_public_code_in_src_has_a_caller():
+    # tests alone may not keep a public function or class alive; these five
+    # are public entry points that nothing in the package or benchmark calls
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    bench = set(_instrumented(ast.parse(LAYERS.read_text(), filename=str(LAYERS))))
+    for path in (LAYERS.parent / "workloads.py", LAYERS):
+        bench |= _package_reads(ast.parse(path.read_text(), filename=str(path)))
+    assert ("primes", "sqrt_mod") in bench and ("ellstat", "count_points_naive") in bench
+    assert _unreferenced(trees, bench) == [
+        "density.zero_density",
+        "ellstat.frobenius_class",
+        "ellstat.trace_of_frobenius",
+        "primes.next_prime",
+        "sieveshift.pairwise_coprime",
+    ]
+
+
+def test_the_caller_scan_sees_each_kind_of_reference():
+    source = "\n".join(
+        [
+            "from .other import used_by_import_only",
+            "def recursive(n):",
+            "    return recursive(n - 1)",
+            "def called(): pass",
+            "def attribute(): pass",
+            "class Annotated: pass",
+            "class Raised(ValueError): pass",
+            "def benchmarked(): pass",
+            "def used_by_import_only(): pass",
+            "def _private(): pass",
+            "def caller(x: Annotated) -> None:",
+            "    called()",
+            "    module.attribute",
+            "    raise Raised",
+        ]
+    )
+    trees = {"example": ast.parse(source)}
+    assert _unreferenced(trees, {("example", "benchmarked")}) == [
+        "example.caller",
+        "example.recursive",
+        "example.used_by_import_only",
+    ]
