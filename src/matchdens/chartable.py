@@ -6,31 +6,38 @@ matrices commute and share a full set of eigenvectors whose entries are the
 central character values.  Every stage after the conjugacy classes works on
 int64 numpy arrays:
 
-- structure constants: for each class representative z, the permutation
-  x -> x z of element indices is one call of the group's product over all
-  indices, and one bincount over pairs of classes counts the x^-1 z;
+- structure constants: the permutations x -> x z of element indices, for
+  every class representative z, come from one blocked call of the group's
+  product; stepping them all at once gives each z's cycle of powers, which
+  ends at z^-1, and one bincount over triples of classes counts the x^-1 z;
 - eigenspaces over F_l, with l = 1 (mod exponent) and l > 2*ceil(sqrt(|G|)):
-  images and coordinates are matrix products mod l, each restricted
-  characteristic polynomial is evaluated at all of F_l at once, and one
-  reduced row echelon form (`_rref`) gives both the kernels and the canonical
-  basis of each eigenspace;
+  a few fixed pseudo-random combinations of the class-sum matrices split the
+  space first, and the class-sum matrices follow in the same loop until
+  every space is a line.  Each split evaluates the restricted characteristic
+  polynomial at all of F_l at once and reads every eigenspace off its
+  spectral projector, one einsum over the powers of the restricted matrix;
+  the eigenlines are normalized together, and only eigenspaces of dimension
+  above 1 go through a reduced row echelon form (`_rref`);
 - degrees and values mod l, then exact values by finite-field Fourier
   inversion over each representative's cycle of power classes: one
-  (characters x n) @ (n x n) product per class of cycle length n, giving the
-  multiplicity of every n-th root of unity as an eigenvalue.  The values'
-  coordinates, and their sort keys at the exponent, are products with
-  `cyclotomic.power_basis_matrix`.
+  (characters x classes x n) @ (n x n) product per cycle length n, giving
+  the multiplicity of every n-th root of unity as an eigenvalue.  The
+  values' coordinates, and their sort keys at the exponent, are products
+  with `cyclotomic.power_basis_matrix`.
 
 Row orthogonality is re-verified exactly before the table is returned:
 sum_k |C_k| chi_a(k) conj(chi_b(k)) is accumulated in the group ring Z[C_E]
-of the cyclic group of order E = exponent, class by class at each class's
-cycle length, reduced by power_basis_matrix(E) and compared with
-|G| delta_ab, after a bound check that keeps every int64 sum exact.
+of the cyclic group of order E = exponent, one product per cycle length over
+the powers of zeta that get a term, reduced by the rows of
+power_basis_matrix(E) at those powers and compared with |G| delta_ab, after
+a bound check that keeps every int64 sum exact.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import isqrt, lcm
+from random import Random
 
 import numpy as np
 
@@ -42,6 +49,9 @@ MAX_CLASSES = 30
 MAX_ORDER = 2000
 DEFAULT_MODULUS_BOUND = 10**6
 INT64_MAX = 2**63 - 1
+# class-sum combinations tried before the class sums themselves
+SPLIT_ROUNDS = 4
+SPLIT_SEED = 1990
 
 
 class CharacterTableError(ValueError):
@@ -72,19 +82,19 @@ def _charpoly_hessenberg(m: np.ndarray, l: int) -> np.ndarray:
         f = h[col + 2:, col] * pow(int(h[col + 1, col]), -1, l) % l
         h[col + 2:] = (h[col + 2:] - f[:, None] * h[col + 1]) % l
         h[:, col + 1] = (h[:, col + 1] + h[:, col + 2:] @ f) % l
-    # recurrence on leading principal minors of xI - H, one row per minor
+    # recurrence on leading principal minors of xI - H, one row per minor:
+    # minor k takes h[i, k-1] h[i+1, i] ... h[k-1, k-2] times minor i off,
+    # for every i < k - 1 at once
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    subdiag = np.zeros(0, dtype=np.int64)  # h[i+1, i] ... h[k-1, k-2] for i < k - 1
     for k in range(1, n + 1):
         cur, prev = polys[k], polys[k - 1]
         cur[1:] = prev[:-1]
         cur[:] = (cur - h[k - 1, k - 1] * prev) % l
-        coeffs = np.zeros(k - 1, dtype=np.int64)
-        subdiag = 1
-        for i in range(k - 2, -1, -1):
-            subdiag = subdiag * int(h[i + 1, i]) % l
-            coeffs[i] = int(h[i, k - 1]) * subdiag % l
-        cur[:] = (cur - coeffs @ polys[: k - 1]) % l
+        if k > 1:
+            subdiag = np.append(subdiag, 1) * h[k - 1, k - 2] % l
+            cur[:] = (cur - (h[: k - 1, k - 1] * subdiag % l) @ polys[: k - 1]) % l
     return polys[n]
 
 
@@ -100,7 +110,7 @@ def _roots_mod(poly: np.ndarray, l: int) -> np.ndarray:
 def _rref(rows, l: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_l: the non-zero rows, and their pivot
     columns in ascending order.  The rows are the canonical basis of the row
-    span; the kernel of the input is read off the free columns."""
+    span."""
     a = np.array(rows, dtype=np.int64) % l
     pivots: list[int] = []
     for col in range(a.shape[1]):
@@ -119,16 +129,6 @@ def _rref(rows, l: int) -> tuple[np.ndarray, list[int]]:
         a = (a - f[:, None] * a[top]) % l
         pivots.append(col)
     return a[: len(pivots)], pivots
-
-
-def _nullspace(m, l: int) -> np.ndarray:
-    """Basis of the kernel of m over F_l, one row per free column."""
-    reduced, pivots = _rref(m, l)
-    free = [c for c in range(reduced.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), reduced.shape[1]), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = -reduced[:, free].T % l
-    return basis
 
 
 # -- the table computation
@@ -162,16 +162,21 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     n = group.order
     class_of = part.class_of
     indices = np.arange(n)
-    inv_of = group.inv(indices)
-    perms = [group.mul(indices, z) for z in part.representatives]
-    cycles = [class_of[_power_cycle(perm, group.identity)] for perm in perms]
+    perms = np.concatenate(
+        [group.mul(indices[None, :], block[:, None]) for block in group._row_blocks(part.representatives)]
+    )
+    cycles = [class_of[powers] for powers in _power_cycles(perms, group.identity)]
+    kstar = np.array([cycle[-1] for cycle in cycles])  # z^(order - 1) = z^-1
     exponent = lcm(*map(len, cycles))
     l = _choose_modulus(n, exponent)
     root = pow(primitive_root(l), (l - 1) // exponent, l)  # of exact order exponent
 
-    # split the r-dimensional space into common eigenlines of the class sums
+    # split the r-dimensional space into common eigenlines of the class sums:
+    # first by seeded combinations of them, then by each class sum in turn
+    class_sums = _structure_constants(class_of, kstar, perms)
+    mixed = np.tensordot(_split_coefficients(r, l), class_sums, axes=(1, 0)) % l
     spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
-    for mat in _structure_constants(class_of, inv_of, perms):
+    for mat in chain(mixed, class_sums):
         if all(len(basis) == 1 for basis, _ in spaces):
             break
         spaces = _split_spaces(spaces, mat, l)
@@ -186,7 +191,6 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     omega = omega * _inverses_mod(pivot, l)[:, None] % l
     inv_sizes = _inverses_mod(part.sizes, l)
     # 1/d^2 = (1/|G|) sum_k omega_k omega_{k*} / |C_k|
-    kstar = class_of[inv_of[part.representatives]]
     inv_dsq = (omega * omega[:, kstar] % l) @ inv_sizes % l
     dsq = n % l * _inverses_mod(inv_dsq, l) % l
     found = dsq[:, None] == np.arange(1, isqrt(n) + 1) ** 2 % l
@@ -214,32 +218,45 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     ]
 
 
-def _power_cycle(perm: np.ndarray, identity: int) -> list[int]:
-    """Indices of z^0, z^1, ... up to the order of z, from x -> x z."""
-    out, cur = [identity], int(perm[identity])
-    while cur != identity:
-        out.append(cur)
-        cur = int(perm[cur])
-        if len(out) > len(perm):
+def _power_cycles(perms: np.ndarray, identity: int) -> list[np.ndarray]:
+    """Per row z of perms (x -> x z), the indices of z^0, z^1, ... up to the
+    order of z: every row is stepped at once."""
+    rows = np.arange(len(perms))
+    powers = [np.full(len(perms), identity)]
+    orders = np.zeros(len(perms), dtype=np.int64)
+    while not orders.all():
+        if len(powers) > perms.shape[1]:
             raise CharacterTableError("a representative's powers never return to 1")
-    return out
+        step = perms[rows, powers[-1]]
+        orders[(step == identity) & (orders == 0)] = len(powers)
+        powers.append(step)
+    table = np.stack(powers, axis=1)
+    return [table[k, :order] for k, order in enumerate(orders.tolist())]
 
 
-def _structure_constants(class_of: np.ndarray, inv_of: np.ndarray, perms) -> np.ndarray:
-    """a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}, perms[k] being x -> x z_k."""
+def _structure_constants(class_of: np.ndarray, kstar: np.ndarray, perms) -> np.ndarray:
+    """a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}, perms[k] being x -> x z_k
+    and C_kstar[i] the class of the inverses of C_i.
+
+    a[i] is the matrix of multiplication by the class sum of C_i in the basis
+    of class sums.  As x runs over C_i, w = x^-1 runs over C_kstar[i], so one
+    bincount of the classes of (w, w z_k) gives every a[i] at once."""
+    perms = np.asarray(perms)
     r = len(perms)
-    return np.stack(
-        [
-            np.bincount(class_of * r + class_of[perm[inv_of]], minlength=r * r).reshape(r, r)
-            for perm in perms
-        ],
-        axis=2,
-    )
+    codes = (class_of * r + class_of[perms]) * r + np.arange(r)[:, None]
+    return np.bincount(codes.ravel(), minlength=r**3).reshape(r, r, r)[kstar]
+
+
+def _split_coefficients(r: int, l: int) -> np.ndarray:
+    """SPLIT_ROUNDS rows of r fixed pseudo-random coefficients in [1, l): each
+    row mixes the class sums into one matrix that is tried before them."""
+    draws = Random(SPLIT_SEED).choices(range(1, l), k=SPLIT_ROUNDS * r)
+    return np.array(draws, dtype=np.int64).reshape(SPLIT_ROUNDS, r)
 
 
 def _split_spaces(spaces, mat: np.ndarray, l: int):
     """Each (reduced basis rows, pivot columns) space, split into the
-    eigenspaces of mat restricted to it."""
+    eigenspaces of mat restricted to it, in ascending order of eigenvalue."""
     out = []
     for basis, pivots in spaces:
         if len(basis) == 1:
@@ -250,15 +267,58 @@ def _split_spaces(spaces, mat: np.ndarray, l: int):
         coords = images[:, pivots]
         if ((images - coords @ basis) % l).any():
             raise CharacterTableError("class-sum matrices do not preserve a split subspace")
-        restricted = coords.T
-        eye = np.eye(len(basis), dtype=np.int64)
-        if np.array_equal(restricted, restricted[0, 0] * eye):
+        if np.array_equal(coords, coords[0, 0] * np.eye(len(basis), dtype=np.int64)):
             out.append((basis, pivots))  # a scalar splits nothing
             continue
-        for lam in _roots_mod(_charpoly_hessenberg(restricted, l), l):
-            null = _nullspace(restricted - lam * eye, l)
-            out.append(_rref(null @ basis % l, l))
+        roots = _roots_mod(_charpoly_hessenberg(coords, l), l)
+        out.extend(_eigenspaces(coords, roots, basis, l))
     return out
+
+
+def _eigenspaces(coords: np.ndarray, roots: np.ndarray, basis: np.ndarray, l: int):
+    """The eigenspaces of x -> x coords, one per root, each read off the rows
+    of its spectral projector q_i(coords), q_i = m / (x - root_i) with m the
+    product of (x - root) over all the roots, and returned as the reduced
+    echelon basis (rows, pivots) of its image under basis."""
+    d, s = len(coords), len(roots)
+    m = np.zeros(s + 1, dtype=np.int64)  # low -> high
+    m[0] = 1
+    for lam in roots.tolist():
+        m[1:] = (m[:-1] - lam * m[1:]) % l
+        m[0] = -lam * m[0] % l
+    powers = np.empty((s + 1, d, d), dtype=np.int64)
+    powers[0] = np.eye(d, dtype=np.int64)
+    for k in range(1, s + 1):
+        powers[k] = powers[k - 1] @ coords % l
+    # m(coords) = 0 makes the matrix diagonalizable over F_l, and
+    # q_i(coords) / q_i(root_i) the projector on eigenspace i, whose trace is
+    # its dimension
+    if (np.tensordot(m, powers, axes=1) % l).any():
+        raise CharacterTableError("a class-sum matrix is not diagonalizable over F_l")
+    # q_i's coefficients, low -> high, by synthetic division of m
+    quotients = np.zeros((s, s), dtype=np.int64)
+    quotients[:, s - 1] = 1
+    for k in range(s - 1, 0, -1):
+        quotients[:, k - 1] = (m[k] + roots * quotients[:, k]) % l
+    projectors = np.einsum("ik,kab->iab", quotients, powers[:s]) % l
+    at_root = np.ones(s, dtype=np.int64)
+    for k in range(s - 2, -1, -1):
+        at_root = (quotients[:, k] + roots * at_root) % l
+    dims = np.trace(projectors, axis1=1, axis2=2) % l * _inverses_mod(at_root, l) % l
+    lines = np.flatnonzero(dims == 1)
+    spaces: list = [None] * s
+    # the eigenlines together: any non-zero projector row, scaled to a 1 at
+    # its first non-zero entry
+    rows = projectors[lines, projectors[lines].any(axis=2).argmax(axis=1)] @ basis % l
+    leads = (rows != 0).argmax(axis=1)
+    rows = rows * _inverses_mod(rows[np.arange(len(lines)), leads], l)[:, None] % l
+    for i, row, lead in zip(lines.tolist(), rows, leads.tolist()):
+        spaces[i] = (row[None, :], [lead])
+    for i in np.flatnonzero(dims > 1).tolist():
+        spaces[i] = _rref(projectors[i] @ basis % l, l)
+        if len(spaces[i][0]) != dims[i]:
+            raise CharacterTableError("an eigenspace's rank differs from its projector's trace")
+    return spaces
 
 
 def _lift(cycles, chi_mod, degrees, exponent, root, l) -> list[np.ndarray]:
@@ -273,18 +333,22 @@ def _lift(cycles, chi_mod, degrees, exponent, root, l) -> list[np.ndarray]:
     root_powers[0] = 1
     for t in range(1, exponent):
         root_powers[t] = root_powers[t - 1] * root % l
-    mults = []
+    mults: list = [None] * len(cycles)
+    by_length: dict[int, list[int]] = {}
     for k, power_class in enumerate(cycles):
-        n_k = len(power_class)
+        by_length.setdefault(len(power_class), []).append(k)
+    for n_k, classes in by_length.items():  # the classes of one cycle length at once
         zeta_powers = root_powers[:: exponent // n_k]
         steps = np.arange(n_k)
         inverse_dft = zeta_powers[-np.outer(steps, steps) % n_k]
-        mult = chi_mod[:, power_class] @ inverse_dft % l * pow(n_k, -1, l) % l
-        if (mult > degrees[:, None]).any():
+        at_powers = chi_mod[:, np.array([cycles[k] for k in classes])]
+        mult = at_powers @ inverse_dft % l * pow(n_k, -1, l) % l
+        if (mult > degrees[:, None, None]).any():
             raise CharacterTableError("eigenvalue multiplicities failed to lift")
-        if (mult @ zeta_powers % l != chi_mod[:, k]).any():
+        if (mult @ zeta_powers % l != chi_mod[:, classes]).any():
             raise CharacterTableError("lifted value does not reduce back mod l")
-        mults.append(mult)
+        for slot, k in enumerate(classes):
+            mults[k] = mult[:, slot]
     return mults
 
 
@@ -312,21 +376,22 @@ def _verify_table(order: int, sizes: list[int], degrees, conductors, coeffs, exp
     for k, n in enumerate(conductors):
         by_conductor.setdefault(n, []).append(k)
     ring = np.zeros((chars, chars, exponent), dtype=np.int64)
+    held = np.zeros(exponent, dtype=bool)  # the powers of zeta_E that get a term
     for n, classes in by_conductor.items():
-        # chi_a conj(chi_b) has coefficient sum_j a_j b_(j-d) at zeta_n^d
+        # chi_a conj(chi_b) has coefficient sum_j a_j b_(j-d) at zeta_n^d,
+        # non-zero only for the residues d of j - j' with j, j' < width
         width = coeffs[classes[0]].shape[1]
-        shift = (np.arange(width)[:, None] - np.arange(n)) % n
-        left = np.concatenate([sizes[k] * coeffs[k] for k in classes], axis=1)
-        right = np.concatenate(
-            [
-                np.pad(coeffs[k], ((0, 0), (0, n - width)))[:, shift]
-                .transpose(1, 0, 2)
-                .reshape(width, chars * n)
-                for k in classes
-            ]
-        )
-        ring[:, :, :: exponent // n] += (left @ right).reshape(chars, chars, n)
-    gram = ring @ basis
+        hit = np.unique(np.arange(1 - width, width) % n)
+        shift = (np.arange(width)[:, None] - hit) % n
+        stacked = np.array([coeffs[k] for k in classes])
+        padded = np.zeros((len(classes), chars, n), dtype=np.int64)
+        padded[:, :, :width] = stacked
+        weighted = stacked * np.array([sizes[k] for k in classes])[:, None, None]
+        left = weighted.transpose(1, 0, 2).reshape(chars, len(classes) * width)
+        right = padded[:, :, shift].transpose(0, 2, 1, 3).reshape(len(classes) * width, chars * len(hit))
+        ring[:, :, hit * (exponent // n)] += (left @ right).reshape(chars, chars, len(hit))
+        held[hit * (exponent // n)] = True
+    gram = ring[:, :, held] @ basis[held]
     expected = np.zeros_like(gram)
     expected[:, :, 0] = order * np.eye(chars, dtype=np.int64)
     bad = np.argwhere((gram != expected).any(axis=2))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchdens import catalog, cli, groupcore
+from matchdens import catalog, chartable, cli, groupcore
 from matchdens.chartable import (
     CharacterTableError,
-    _nullspace,
+    _charpoly_hessenberg,
     _rref,
+    _split_spaces,
     _structure_constants,
     _verify_table,
     character_table_small,
@@ -114,7 +115,7 @@ def _matrices_mod(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_matrices_mod())
-def test_rref_and_nullspace_over_f_l(case):
+def test_rref_over_f_l(case):
     l, m = case
     a = np.array(m, dtype=np.int64) % l
     rows, pivots = _rref(m, l)
@@ -133,12 +134,97 @@ def test_rref_and_nullspace_over_f_l(case):
     assert not ((a[:, pivots] @ rows - a) % l).any()
     again, again_pivots = _rref(rows, l)
     assert again_pivots == pivots and np.array_equal(again, rows)
-    # the kernel: cols - rank independent vectors, each killed by m
-    kernel = _nullspace(m, l)
-    assert kernel.dtype == np.int64 and kernel.shape == (cols - len(rows), cols)
-    if len(kernel):
-        assert _rank_by_minors(kernel.tolist(), l) == len(kernel)
-    assert not (a @ kernel.T % l).any()
+
+
+def _inverse_by_cofactors(m, l):
+    """The inverse mod l from the adjugate and the determinant by permutations:
+    an oracle that shares nothing with row reduction."""
+    d = len(m)
+    det = _det_mod(m, l)
+    assert det, "singular"
+
+    def minor(i, j):
+        return [[m[a][b] for b in range(d) if b != j] for a in range(d) if a != i]
+
+    adj = [[(-1) ** (i + j) * _det_mod(minor(j, i), l) for j in range(d)] for i in range(d)]
+    return np.array(adj, dtype=np.int64) * pow(det, -1, l) % l
+
+
+@st.composite
+def _diagonalizable_mod(draw):
+    """A prime l, a matrix P D P^-1 over F_l with P invertible, and the
+    diagonal of D, drawn from at most three values so that repeated
+    eigenvalues are common."""
+    l = draw(st.sampled_from([7, 241]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    residue = st.integers(min_value=0, max_value=l - 1)
+    pool = draw(st.lists(residue, min_size=1, max_size=3, unique=True))
+    diag = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+    # P = L U: L unit lower triangular, U upper triangular with a unit diagonal
+    lower = np.eye(d, dtype=np.int64)
+    upper = np.zeros((d, d), dtype=np.int64)
+    for i in range(d):
+        lower[i, :i] = draw(st.lists(residue, min_size=i, max_size=i))
+        upper[i, i] = draw(st.integers(min_value=1, max_value=l - 1))
+        upper[i, i + 1:] = draw(st.lists(residue, min_size=d - i - 1, max_size=d - i - 1))
+    p = lower @ upper % l
+    m = p @ np.diag(diag) % l @ _inverse_by_cofactors(p.tolist(), l) % l
+    return l, m, diag
+
+
+@settings(max_examples=150, deadline=None)
+@given(_diagonalizable_mod())
+def test_split_spaces_gives_the_eigenspaces(case):
+    l, m, diag = case
+    d = len(diag)
+    spaces = _split_spaces([(np.eye(d, dtype=np.int64), list(range(d)))], m, l)
+    eigenvalues = []
+    for rows, pivots in spaces:
+        # reduced echelon form, as _rref gives it
+        assert rows.dtype == np.int64 and rows.shape == (len(pivots), d) and len(pivots)
+        assert pivots == sorted(set(pivots))
+        assert ((rows >= 0) & (rows < l)).all()
+        for i, pc in enumerate(pivots):
+            assert rows[i, pc] == 1 and not rows[i, :pc].any()
+            assert np.count_nonzero(rows[:, pc]) == 1
+        # every row is killed by m - lambda I, for one eigenvalue lambda of D
+        (lam,) = [v for v in set(diag) if not ((m - v * np.eye(d, dtype=np.int64)) @ rows.T % l).any()]
+        eigenvalues.append(lam)
+        assert len(rows) == diag.count(lam)
+    # one space per distinct eigenvalue, in ascending order, dimensions
+    # summing to d and the spaces together of rank d
+    assert eigenvalues == sorted(set(diag))
+    assert sum(len(rows) for rows, _ in spaces) == d
+    assert _rank_by_minors(np.concatenate([rows for rows, _ in spaces]).tolist(), l) == d
+
+
+@st.composite
+def _square_mod(draw):
+    l = draw(st.sampled_from([7, 241]))
+    d = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=0, max_value=l - 1) | st.just(0)
+    return l, draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_square_mod())
+def test_charpoly_matches_determinants(case):
+    # two monic polynomials of degree d that agree at d points are equal
+    l, m = case
+    d = len(m)
+    poly = _charpoly_hessenberg(np.array(m, dtype=np.int64), l)
+    assert poly.dtype == np.int64 and len(poly) == d + 1 and poly[d] == 1
+    for x in range(d):
+        shifted = [[(x if i == j else 0) - m[i][j] for j in range(d)] for i in range(d)]
+        assert sum(int(c) * x**k for k, c in enumerate(poly)) % l == _det_mod(shifted, l)
+
+
+@pytest.mark.parametrize(
+    "m", [[[1, 1], [0, 1]], [[0, 6], [1, 0]]], ids=["jordan-block", "no-root-mod-7"]
+)
+def test_split_spaces_refuses_what_is_not_diagonalizable_over_f_l(m):
+    with pytest.raises(CharacterTableError, match="not diagonalizable"):
+        _split_spaces([(np.eye(2, dtype=np.int64), [0, 1])], np.array(m, dtype=np.int64), 7)
 
 
 def _symmetric4_without_generators():
@@ -162,8 +248,8 @@ def test_structure_constants_equal_a_brute_force_count(name):
     part = group.conjugacy_classes()
     r, reps = len(part), part.representatives
     perms = [np.array([group.mul(x, z) for x in range(group.order)]) for z in reps]
-    inv_of = np.array([group.inv(x) for x in range(group.order)])
-    got = _structure_constants(part.class_of, inv_of, perms)
+    kstar = part.class_of[[group.inv(z) for z in reps]]
+    got = _structure_constants(part.class_of, kstar, perms)
     want = np.zeros((r, r, r), dtype=np.int64)
     for k, z in enumerate(reps):
         for x in range(group.order):
@@ -231,10 +317,13 @@ def test_gram_check_rejects_broken_tables(form):
 
 
 def test_gl2f5_table_multiplies_few_elements():
-    # a deterministic guard on the work: calls into the group's product, each
-    # over every element at once: one per class representative and about
-    # 2 log2 |G| for the inverses.  Per-element products take 480 or more.
+    # a deterministic guard on the work: calls into the group's product.  The
+    # 24 class representatives' 24 x 480 products fit one block of
+    # BLOCK_ENTRIES, and the inverses close the representatives' cycles of
+    # powers, so the table multiplies once.  Per-representative calls would
+    # take 24, an inverse ladder about 20, per-element products 480 or more.
     group = catalog.named_group("gl2fp:5")
+    assert 24 * group.order <= groupcore.BLOCK_ENTRIES
     calls = 0
     op = group._op
 
@@ -245,7 +334,58 @@ def test_gl2f5_table_multiplies_few_elements():
 
     group._op = counting
     character_table_small(group)
-    assert 0 < calls <= 60, calls
+    assert calls == 1, calls
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of a chartable function from here on."""
+    counts = {"calls": 0}
+    inner = getattr(chartable, name)
+
+    def counted(*args):
+        counts["calls"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(chartable, name, counted)
+    return counts
+
+
+# characteristic polynomials each table takes with the seeded combinations
+CHARPOLY_CALLS = {
+    "trivial": 0, "q8": 2, "s3": 2, "d4": 2, "sl2f3": 2, "heisenberg:3": 4, "gl2fp:2": 2,
+    "gl2fp:3": 1, "cyclic:1": 0, "cyclic:2": 1, "cyclic:6": 4, "cyclic:12": 5, "cyclic:30": 9,
+    "gl2fp:5": 3,
+}
+
+
+@pytest.mark.parametrize("name", [*SMALL_GROUPS, "gl2fp:5"])
+def test_seeded_combinations_separate_the_characters(monkeypatch, name):
+    # a deterministic guard on the work: the table separates within the
+    # seeded combinations, before any class-sum matrix of the tail
+    splits = _counting(monkeypatch, "_split_spaces")
+    charpolys = _counting(monkeypatch, "_charpoly_hessenberg")
+    table = character_table_small(catalog.named_group(name))
+    assert splits["calls"] <= chartable.SPLIT_ROUNDS
+    assert charpolys["calls"] <= CHARPOLY_CALLS[name] < len(table)
+
+
+@pytest.mark.parametrize("name", ["gl2fp:5", "sl2f3", "s4"])
+def test_class_sum_tail_separates_what_the_combinations_leave(monkeypatch, name):
+    group = _symmetric4_without_generators() if name == "s4" else catalog.named_group(name)
+    want = character_table_small(_symmetric4_without_generators()) if name == "s4" else _table(name)[1]
+    part = group.conjugacy_classes()
+    r = len(part)
+    scalar = np.zeros(r, dtype=np.int64)
+    scalar[part.class_of[group.identity]] = 5  # 5 times the identity matrix
+    # the sum of all class sums is |G| on the trivial character and 0 on
+    # every other: one eigenvalue shared by r - 1 characters
+    colliding = np.ones(r, dtype=np.int64)
+    monkeypatch.setattr(chartable, "_split_coefficients", lambda r, l: np.array([scalar, colliding]))
+    splits = _counting(monkeypatch, "_split_spaces")
+    table = character_table_small(group)
+    assert splits["calls"] > 2  # the class-sum matrices came into play
+    assert [cf.values for cf in table] == [cf.values for cf in want]
+    assert [int(cf.degree().as_rational()) for cf in table] == [int(cf.degree().as_rational()) for cf in want]
 
 
 def _class_function_values(classes):
