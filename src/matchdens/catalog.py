@@ -71,10 +71,9 @@ def _matrices(p: int, det_ok: Callable) -> tuple[np.ndarray, Callable, Callable]
     a, b, c, d of one array, in lexicographic order; their product on
     indices, computed on the entries and found again by its base-p code; and
     index(a, b, c, d), the index of one matrix, read off its code alike."""
-    codes = np.arange(p**4)
-    a, b, c, d = codes // p**3, codes // p**2 % p, codes // p % p, codes % p
+    a, b, c, d = entries = np.indices((p,) * 4, dtype=np.int32).reshape(4, -1)
     keep = det_ok((a * d - b * c) % p)
-    matrices = np.stack([a[keep], b[keep], c[keep], d[keep]])
+    matrices = entries.compress(keep, axis=1)
     position = np.full(p**4, -1)
     position[keep] = np.arange(matrices.shape[1])
 
@@ -100,8 +99,9 @@ def gl2_group(p: int) -> FiniteGroup:
 
     Two matrices are conjugate exactly when they share the characteristic
     polynomial (trace, det) and are both scalar or both not, so each element
-    is labelled by one int64 key on (scalar, trace, det) rather than by orbit
-    search, and conjugacy stays cheap at the top of the range.
+    is labelled by one key (scalar p + trace)(p - 1) + det - 1 rather than by
+    orbit search, and conjugacy stays cheap at the top of the range.  Keys
+    lie below 2p(p - 1) <= |GL2(F_p)|, as class labels must.
     """
     if p > ENUMERATION_MAX_P:
         raise ValueError(f"gl2fp enumeration is bounded at p <= {ENUMERATION_MAX_P}")
@@ -110,7 +110,7 @@ def gl2_group(p: int) -> FiniteGroup:
     def classified_labels(group: FiniteGroup) -> np.ndarray:
         a, b, c, d = matrices
         scalar = (b == 0) & (c == 0) & (a == d)
-        return (scalar * p + (a + d) % p) * p + (a * d - b * c) % p
+        return (scalar * p + (a + d) % p) * (p - 1) + (a * d - b * c) % p - 1
 
     # diag(r, 1) and [[-1, 1], [-1, 0]] generate GL2(F_p) for odd p; at p = 2
     # diag(1, 1) is the identity, and the swap [[0, 1], [1, 0]] takes its place
@@ -137,26 +137,35 @@ def heisenberg3_group() -> FiniteGroup:
 
 
 def named_group(name: str) -> FiniteGroup:
-    """Resolve a CLI group name like "cyclic:6" or "gl2fp:5"."""
-    base, _, arg = name.partition(":")
+    """Resolve a CLI group name like "cyclic:6" or "gl2fp:5".
+
+    A name that gives an argument to a group that takes none ("q8:5"), or
+    an argument that is not an integer ("gl2fp:"), is refused with a
+    ValueError that names the group.
+    """
+    base, colon, arg = name.partition(":")
     base = base.strip().lower()
-    if base == "trivial":
-        return trivial_group()
-    if base == "cyclic":
-        return cyclic_group(int(arg))
-    if base == "q8":
-        return quaternion_group()
-    if base == "s3":
-        return symmetric3_group()
-    if base == "d4":
-        return dihedral4_group()
-    if base == "sl2f3":
-        return sl2f3_group()
-    if base == "gl2fp":
-        p = int(arg)
-        if not is_prime(p):
+    fixed = {
+        "trivial": trivial_group,
+        "q8": quaternion_group,
+        "s3": symmetric3_group,
+        "d4": dihedral4_group,
+        "sl2f3": sl2f3_group,
+    }
+    if base in fixed:
+        if colon:
+            raise ValueError(f"group {base} takes no argument, got {name!r}")
+        return fixed[base]()
+    if base in ("cyclic", "gl2fp"):
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ValueError(f"group {base} needs an integer argument, got {name!r}") from None
+        if base == "cyclic":
+            return cyclic_group(n)
+        if not is_prime(n):
             raise ValueError(f"gl2fp:{arg}: {arg} is not prime")
-        return gl2_group(p)
+        return gl2_group(n)
     if base == "heisenberg":
         if arg.strip() != "3":
             raise ValueError("only heisenberg:3 is built in")

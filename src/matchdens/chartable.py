@@ -203,10 +203,8 @@ def character_table_small(group: FiniteGroup) -> list[ClassFunction]:
     conductors = [mult.shape[1] for mult in mults]
     coords = [mult @ power_basis_matrix(n_k) for mult, n_k in zip(mults, conductors)]
     _verify_table(n, part.sizes.tolist(), degrees.tolist(), conductors, coords, exponent)
-    values = [[] for _ in range(r)]
-    for n_k, vecs in zip(conductors, coords):
-        for row, vec in zip(values, vecs.tolist()):
-            row.append(CycValue.from_power_basis(n_k, vec))
+    blocks = [CycValue.from_power_basis(n_k, vecs) for n_k, vecs in zip(conductors, coords)]
+    values = list(zip(*blocks))  # character by character
     # sort keys: every value's coordinates at the exponent, class by class
     at_exponent = power_basis_matrix(exponent)
     keys = np.concatenate(

@@ -121,15 +121,22 @@ class CycValue:
     # -- constructors
 
     @classmethod
-    def from_power_basis(cls, conductor: int, coords) -> CycValue:
-        """The algebraic integer with these integer coordinates in the power
-        basis 1, z, ..., z^(phi(e)-1); they are canonical as given."""
-        out = cls.__new__(cls)
-        out.conductor = conductor
-        out._num, out._den = tuple(map(int, coords)), 1
-        if len(out._num) != len(cyclotomic_polynomial(conductor)) - 1:
-            raise ValueError(f"need phi({conductor}) coordinates, got {len(out._num)}")
-        return out
+    def from_power_basis(cls, conductor: int, rows) -> list[CycValue]:
+        """The algebraic integers whose integer coordinates in the power basis
+        1, z, ..., z^(phi(e)-1) are the rows of a 2-D integer array, one value
+        per row; they are canonical as given.  The width phi(e) is checked
+        once for the whole block."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError(f"need a 2-D integer block, got {rows.shape} {rows.dtype}")
+        if rows.shape[1] != len(cyclotomic_polynomial(conductor)) - 1:
+            raise ValueError(f"need phi({conductor}) coordinates, got {rows.shape[1]}")
+        values = []
+        for row in rows.tolist():
+            out = cls.__new__(cls)
+            out.conductor, out._num, out._den = conductor, tuple(row), 1
+            values.append(out)
+        return values
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> CycValue:

@@ -7,14 +7,21 @@ dense table, the identity, the inverses, the conjugation rows and the
 character table's right-regular permutations; generators are element
 indices too.  Element handles (hashable values such as matrices as tuples)
 appear only at the edges: `element`, `elements`, `index_of` and pulling
-class functions back along handle maps.  Conjugacy classes come from one
-label per element (ConjClassPartition.from_labels): a group's
-`class_labels` hook when it has one, otherwise the least index of each
-orbit under conjugation.  Partitions, quotient maps and subgroups are
-read-only int64 index arrays, read as Python ints only by exact arithmetic
-and JSON.  Class functions with exact cyclotomic values, direct and fiber
-products (multiplied through the factors' products), quotient maps, and the
-exact matching / zero fractions live here.
+class functions back along handle maps.
+
+Conjugacy classes come from one label per element, an integer in
+[0, order) (ConjClassPartition.from_labels, which refuses any other label
+and numbers classes by least index in one O(order) pass, with no sort).
+The labels are a group's `class_labels` hook when it has one, otherwise the
+least index of each orbit under conjugation: by the generators when there
+are any, else as the column minima of all conjugation rows: one pass of
+order^2 products in row blocks on the table, with no order^2 temporary
+beside the table.
+Partitions, quotient maps and subgroups are read-only int64 index arrays,
+read as Python ints only by exact arithmetic and JSON.  Class functions with
+exact cyclotomic values, direct and fiber products (multiplied through the
+factors' products), quotient maps, and the exact matching / zero fractions
+live here.
 """
 
 from __future__ import annotations
@@ -47,17 +54,17 @@ class OrderBoundExceededError(ValueError):
     """A construction would exceed the configured order bound."""
 
 
-def _checked_indices(indices, order: int) -> np.ndarray:
-    """The given element indices as a 1-D int64 array, refused with
-    InvalidGroupError unless every one is an integer in [0, order)."""
+def _checked_indices(indices, order: int, what: str = "element indices") -> np.ndarray:
+    """The given indices as a 1-D int64 array, refused with InvalidGroupError
+    (naming them as `what`) unless every one is an integer in [0, order)."""
     out = np.asarray(indices)
     if out.ndim != 1:
-        raise InvalidGroupError(f"element indices must form a 1-D array, not {out.ndim}-D")
+        raise InvalidGroupError(f"{what} must form a 1-D array, not {out.ndim}-D")
     if out.size and out.dtype.kind not in "iu":
-        raise InvalidGroupError(f"element indices must be integers, not {out.dtype}")
+        raise InvalidGroupError(f"{what} must be integers, not {out.dtype}")
     out = out.astype(np.int64, copy=False)
     if out.size and (out.min() < 0 or out.max() >= order):
-        raise InvalidGroupError(f"an element index falls outside [0, {order})")
+        raise InvalidGroupError(f"one of the {what} falls outside [0, {order})")
     return out
 
 
@@ -82,11 +89,24 @@ class ConjClassPartition:
     @classmethod
     def from_labels(cls, labels) -> ConjClassPartition:
         """Classes are the sets of elements sharing a label, ordered by their
-        least element index."""
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        class_of = np.argsort(order)[inverse.ravel()]
-        return cls(*map(_readonly, (first[order], np.bincount(class_of), class_of)))
+        least element index.
+
+        Labels are integers in [0, n), n the number of elements; anything
+        else is refused with InvalidGroupError.  One scatter-min finds each
+        label's least element, which is its class representative: O(n), no
+        sort.
+        """
+        labels = _checked_indices(labels, np.size(labels), "class labels")
+        n = len(labels)
+        idx = np.arange(n)
+        least = np.full(n, n)
+        np.minimum.at(least, labels, idx)
+        first = least[labels]  # each element's representative
+        reps = np.flatnonzero(first == idx)
+        number = np.empty(n, dtype=np.int64)
+        number[reps] = np.arange(len(reps))
+        class_of = number[first]
+        return cls(*map(_readonly, (reps, np.bincount(class_of), class_of)))
 
 
 def _least_in_orbits(n: int, rows: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
@@ -126,10 +146,13 @@ class FiniteGroup:
 
     `generators`, given as element indices, enables scalable conjugacy
     computations; they are checked to be indices at construction and to
-    generate the group at their first use.  Without them every element is
-    treated as a generator, which is fine up to a few thousand elements.  `class_labels(group)`, when given, returns one label per
-    element such that two elements are conjugate exactly when their labels
-    are equal.
+    generate the group at their first use.  Without them each class's least
+    index is a column minimum over every conjugation row: one pass of
+    order^2 products, in row blocks on the table, refused above
+    ORBIT_NO_GENERATORS_LIMIT elements.  `class_labels(group)`, when given,
+    returns one integer label in [0, order) per element such that two
+    elements are conjugate exactly when their labels are equal; any other
+    label is refused with InvalidGroupError.
     """
 
     def __init__(
@@ -211,13 +234,22 @@ class FiniteGroup:
     # -- multiplication on indices
 
     def _find_identity(self) -> int:
-        """The first e with e x0 = x0 = x0 e, x0 being element 0: one product
-        over every e, the other side only where the first one hit."""
-        hits = np.flatnonzero(self.mul(np.arange(self.order), 0) == 0)
-        hits = hits[self.mul(0, hits) == 0]
-        if not hits.size:
-            raise InvalidGroupError("no identity element found")
-        return int(hits[0])
+        """The first e with e x0 = x0 = x0 e, x0 being element 0.
+
+        Candidates go in doubling blocks of indices from 0 (64, then 128,
+        ...): e x0 over the block, x0 e only where that hit, and the search
+        stops at the first block with a two-sided hit, which is the least e
+        of all.  An identity at index k costs O(k) products, not O(order).
+        """
+        start, size = 0, 64
+        while start < self.order:
+            block = np.arange(start, min(start + size, self.order))
+            hits = block[self.mul(block, 0) == 0]
+            hits = hits[self.mul(0, hits) == 0]
+            if hits.size:
+                return int(hits[0])
+            start, size = start + size, 2 * size
+        raise InvalidGroupError("no identity element found")
 
     def mul(self, i, j):
         """Index of the product of elements i and j, elementwise over int arrays."""
@@ -329,9 +361,11 @@ class FiniteGroup:
     def _orbit_labels(self) -> np.ndarray:
         """Least element index of every element's conjugacy class.
 
-        Orbits under conjugation by the generators; without generators every
-        element conjugates, one block of rows at a time on the table: nothing
-        of size order^2 but the table.
+        With generators, orbits under conjugation by them.  Without, every
+        element conjugates: the class of x is {g x g^-1 : g in G}, so its least
+        index is a column minimum of the conjugation rows, kept running over
+        one block of rows at a time on the table.  That is one exact pass of
+        order^2 products, and nothing of size order^2 but the table.
         """
         n = self.order
         gens = self.generator_indices
@@ -341,7 +375,10 @@ class FiniteGroup:
                     "conjugacy of a large group needs an explicit generating set"
                 )
             self.ensure_table()
-            return _least_in_orbits(n, lambda: map(self._conjugation, self._row_blocks(range(n))))
+            least = np.arange(n)
+            for gs in self._row_blocks(range(n)):
+                np.minimum(least, self._conjugation(gs).min(axis=0), out=least)
+            return least
         rows = self._conjugation(np.array(gens))
         return _least_in_orbits(n, lambda: [rows])
 

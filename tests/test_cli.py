@@ -305,6 +305,24 @@ def test_unknown_group_error(capsys):
     assert "unknown group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ("q8:5", "group q8 takes no argument"),
+        ("s3:99", "group s3 takes no argument"),
+        ("trivial:7", "group trivial takes no argument"),
+        ("gl2fp:", "group gl2fp needs an integer argument"),
+        ("cyclic:six", "group cyclic needs an integer argument"),
+    ],
+)
+def test_group_arguments_are_checked(capsys, group, message):
+    # once answered for q8 (exit 0), or with Python's int() message
+    assert main(["--format", "json", "chartable", "--group", group]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "invalid literal" not in captured.err and not captured.out
+
+
 def test_deterministic_output(capsys):
     code1, report1 = _run(capsys, "gl2", "--p", "7")
     code2, report2 = _run(capsys, "gl2", "--p", "7")

@@ -153,11 +153,14 @@ def test_power_basis_matrix_rows_are_roots_of_unity():
 def test_from_power_basis_is_the_reduced_sum(case):
     e, mults = case
     coords = (np.array(mults) @ power_basis_matrix(e)).tolist()
-    value = CycValue.from_power_basis(e, coords)
+    value, twice = CycValue.from_power_basis(e, [coords, [2 * c for c in coords]])
     assert value == CycValue(e, dict(enumerate(mults)))
     assert value.embed(e).canonical() == tuple(coords)
+    assert twice == value + value
 
 
 def test_from_power_basis_needs_phi_coordinates():
-    with pytest.raises(ValueError):
-        CycValue.from_power_basis(12, [1, 0, 0])
+    # phi(12) = 4: too few, not a block, not integers, ragged
+    for rows in ([[1, 0, 0]], [1, 0, 0, 0], [[1.0, 0, 0, 0]], [[1, 0, 0, 0], [1, 0]]):
+        with pytest.raises(ValueError):
+            CycValue.from_power_basis(12, rows)

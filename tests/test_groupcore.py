@@ -129,7 +129,9 @@ def test_invalid_group_reported():
         nonassociative.validate()
 
 
-@pytest.mark.parametrize("n", [5, 200])  # a table at construction, and none
+# n = 5 builds its table at construction; 200 and 300 build none, and their
+# identity n - 1 lies in the third doubling block of the search
+@pytest.mark.parametrize("n", [5, 200, 300])
 def test_identity_is_the_first_two_sided_one(n):
     # every e != 0 has e * 0 = 0, but only e = n - 1 has 0 * e = 0 too
     def op(a, b):
@@ -337,6 +339,17 @@ def test_orbit_labels_match_brute_force(name):
     assert part.class_of.tolist() == [position[label] for label in least]
 
 
+@pytest.mark.parametrize("name", (*_ORBIT_GROUPS, "cyclic:300", "gl2fp:7", "gl2fp:11", "gl2fp:13"))
+def test_identity_matches_a_full_product_search(name):
+    # the oracle multiplies element 0 by every element, on both sides
+    group = _fresh_group(name)
+    idx = np.arange(group.order)
+    two_sided = np.flatnonzero((group.mul(idx, 0) == 0) & (group.mul(0, idx) == 0))
+    assert group.identity == two_sided[0]
+    assert np.array_equal(group.mul(group.identity, idx), idx)
+    assert np.array_equal(group.mul(idx, group.identity), idx)
+
+
 # sha256 of json.dumps([representatives, sizes, class_of]) for each group's
 # partition: pins every partition, whichever route computed it
 PARTITION_SHA256 = {
@@ -469,6 +482,48 @@ def test_class_labels_of_wrong_length_refused():
     flat = FiniteGroup(range(4), lambda a, b: (a + b) % 4, class_labels=lambda g: [[0, 1], [2, 3]])
     with pytest.raises(InvalidGroupError, match="class labels"):
         flat.conjugacy_classes()
+
+
+def _partition_by_unique(labels):
+    """The oracle for from_labels: np.unique's first occurrences, renumbered
+    in the order of their indices."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    class_of = rank[inverse]
+    return np.sort(first).tolist(), np.bincount(class_of).tolist(), class_of.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_from_labels_matches_a_sorting_oracle(labels):
+    # labels in [0, n) with gaps and in any order; classes numbered by least index
+    part = groupcore.ConjClassPartition.from_labels(np.array(labels))
+    got = part.representatives.tolist(), part.sizes.tolist(), part.class_of.tolist()
+    assert got == _partition_by_unique(labels)
+    for indices in (part.representatives, part.sizes, part.class_of):
+        assert indices.dtype == np.int64 and not indices.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 2, -1], [0, 1, 2, 4], [0, 1, 2, 40], [0.0, 1.0, 2.0, 3.0], [0, 1, 2, 2.5]]
+)
+def test_class_labels_outside_the_order_refused(labels):
+    # labels are integers in [0, order): negative, too large or non-integer ones are refused
+    c4 = FiniteGroup(range(4), lambda a, b: (a + b) % 4, class_labels=lambda g: labels)
+    with pytest.raises(InvalidGroupError, match="class labels"):
+        c4.conjugacy_classes()
+    with pytest.raises(InvalidGroupError, match="class labels"):
+        groupcore.ConjClassPartition.from_labels(labels)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_gl2_class_labels_lie_below_the_order(p):
+    group = catalog.gl2_group(p)
+    labels = np.asarray(group._class_labels(group))
+    assert labels.dtype.kind == "i" and labels.min() >= 0
+    assert labels.max() < 2 * p * (p - 1) <= group.order
+    # one label per class: the scalars, the non-scalars of each (trace, det) that occur
+    assert len(np.unique(labels)) == len(group.conjugacy_classes())
 
 
 def test_orbit_labels_refuse_large_group_without_generators():

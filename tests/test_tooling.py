@@ -255,6 +255,12 @@ def test_readme_bounds_match_the_code():
         ("primes", "SIEVE_LIMIT"),
         ("sieveshift", "MAX_SCAN_N"),
         ("ellstat", "NAIVE_MAX_Q"),
+        ("groupcore", "ORDER_LIMIT"),
+        ("groupcore", "TABLE_LIMIT"),
+        ("groupcore", "ORBIT_NO_GENERATORS_LIMIT"),
+        ("chartable", "MAX_ORDER"),
+        ("chartable", "MAX_CLASSES"),
+        ("gl2fp", "ENUMERATION_MAX_P"),
     } <= stated.keys()
     wrong = [
         f"{module}.{name} = {value} in README.md, {actual} in the code"
